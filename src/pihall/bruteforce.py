@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from pihall.arith import factorize, is_pi_number, is_prime, pi_part
 from pihall.classify import HallReport, YES
@@ -66,6 +67,7 @@ class ConcreteGroup:
     generators: List[Element]
     spec: Optional[GroupSpec] = None
     _orders: Dict[Element, int] = field(default_factory=dict, repr=False)
+    _inverses: Dict[Element, Element] = field(default_factory=dict, repr=False)
 
     @property
     def order(self) -> int:
@@ -84,11 +86,14 @@ class ConcreteGroup:
         return n
 
     def inverse(self, x: Element) -> Element:
-        n = self.element_order(x)
-        out = self.identity
-        for _ in range(n - 1):
-            out = self.mul(out, x)
-        return out
+        inv = self._inverses.get(x)
+        if inv is None:
+            inv = self.identity
+            for _ in range(self.element_order(x) - 1):
+                inv = self.mul(inv, x)
+            self._inverses[x] = inv
+            self._inverses[inv] = x
+        return inv
 
     def conjugate_set(self, subset: FrozenSet[Element], g: Element) -> FrozenSet[Element]:
         ginv = self.inverse(g)
@@ -138,7 +143,7 @@ class CensusReport:
 
 def _perm_mul(a: Element, b: Element) -> Element:
     # apply b first, then a
-    return tuple(a[b[i]] for i in range(len(a)))
+    return tuple(map(a.__getitem__, b))
 
 
 def _mat_mul_mod(p: int):
@@ -156,10 +161,58 @@ def _mat_mul_mod(p: int):
 
 
 def _scalar_canonical(p: int, scalars: Sequence[int]):
+    """The least of the scalar multiples s*x of a 2x2 matrix x, built directly.
+
+    The first nonzero entry v decides the comparison, since the s*v are
+    distinct: scale by the s that makes s*v least.
+    """
+    best = [1] + [min(scalars, key=lambda s: s * v % p) for v in range(1, p)]
+
     def canon(x: Element) -> Element:
-        return min(tuple((s * v) % p for v in x) for s in scalars)
+        a, b, c, d = x
+        s = best[a or b or c or d]
+        return x if s == 1 else (s * a % p, s * b % p, s * c % p, s * d % p)
 
     return canon
+
+
+def _extend(
+    mul: Callable[[Element, Element], Element],
+    base: Iterable[Element],
+    base_gens: Sequence[Element],
+    new_gens: Iterable[Element],
+    limit: int,
+) -> Optional[set]:
+    """The elements of <base_gens, new_gens>, where base = <base_gens> is known.
+
+    Dimino's algorithm: a generator t outside the group H built so far
+    extends H by whole right cosets.  Starting from H*t, each product r*s
+    of a coset representative r and a generator s that lands outside adds
+    the coset H*(r*s), with r*s as its representative.  Returns None as
+    soon as the result would have more than limit elements.
+    """
+    elements = set(base)
+    if len(elements) > limit:
+        return None
+    gens = list(base_gens)
+    for t in new_gens:
+        if t in elements:
+            continue
+        gens.append(t)
+        block = list(elements)
+        reps = [t]
+        if len(elements) + len(block) > limit:
+            return None
+        elements.update(map(mul, block, repeat(t)))
+        for r in reps:  # reps grows while it is walked
+            for s in gens:
+                y = mul(r, s)
+                if y not in elements:
+                    if len(elements) + len(block) > limit:
+                        return None
+                    elements.update(map(mul, block, repeat(y)))
+                    reps.append(y)
+    return elements
 
 
 def _closure(
@@ -168,19 +221,9 @@ def _closure(
     identity: Element,
     limit: int,
 ) -> List[Element]:
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = mul(x, g)
-                if y not in elements:
-                    elements.add(y)
-                    nxt.append(y)
-                    if len(elements) > limit:
-                        raise BudgetExceeded(f"closure exceeded {limit} elements")
-        frontier = nxt
+    elements = _extend(mul, (identity,), (), gens, limit)
+    if elements is None:
+        raise BudgetExceeded(f"closure exceeded {limit} elements")
     return sorted(elements)
 
 
@@ -323,26 +366,21 @@ def subgroup_closure(
     g: ConcreteGroup,
     gens: Iterable[Element],
     limit: int,
+    base: Optional[FrozenSet[Element]] = None,
+    base_gens: Sequence[Element] = (),
 ) -> Optional[FrozenSet[Element]]:
-    """Closure of gens inside g, or None once it would exceed limit elements."""
+    """Closure of gens inside g, or None once it would exceed limit elements.
+
+    With a known subgroup base = <base_gens>, the closure of base and gens
+    is built by extending base, without closing it again.
+    """
     gens = [x for x in gens if x != g.identity]
-    if not gens:
-        return frozenset({g.identity})
-    elements = {g.identity}
-    frontier = [g.identity]
-    mul = g.mul
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gen in gens:
-                y = mul(x, gen)
-                if y not in elements:
-                    if len(elements) >= limit:
-                        return None
-                    elements.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(elements)
+    if base is None:
+        if not gens:
+            return frozenset({g.identity})
+        base = frozenset({g.identity})
+    elements = _extend(g.mul, base, base_gens, gens, limit)
+    return None if elements is None else frozenset(elements)
 
 
 def _pi_elements(g: ConcreteGroup, pi: Sequence[int]) -> List[Element]:
@@ -355,6 +393,7 @@ def sylow_subgroup(g: ConcreteGroup, r: int) -> FrozenSet[Element]:
     relements = [x for x in g.elements if g.element_order(x) != 1
                  and is_pi_number(g.element_order(x), (r,))]
     current = frozenset({g.identity})
+    gens: Tuple[Element, ...] = ()
     if target == 1:
         return current
     progress = True
@@ -363,9 +402,9 @@ def sylow_subgroup(g: ConcreteGroup, r: int) -> FrozenSet[Element]:
         for x in relements:
             if x in current:
                 continue
-            bigger = subgroup_closure(g, list(current) + [x], target + 1)
+            bigger = subgroup_closure(g, [x], target + 1, current, gens)
             if bigger is not None and is_pi_number(len(bigger), (r,)):
-                current = bigger
+                current, gens = bigger, gens + (x,)
                 progress = True
                 if len(current) == target:
                     break
@@ -400,27 +439,34 @@ def _generator_witness(
 
 
 def conjugacy_classes_of_subgroups(
-    g: ConcreteGroup, subgroups: Sequence[FrozenSet[Element]]
-) -> List[List[FrozenSet[Element]]]:
-    """Partition subgroups into conjugacy classes by generator-orbit closure."""
-    remaining = set(subgroups)
-    classes: List[List[FrozenSet[Element]]] = []
-    while remaining:
-        seed = min(remaining, key=sorted)
-        orbit = {seed}
+    g: ConcreteGroup, witnesses: Mapping[FrozenSet[Element], Tuple[Element, ...]]
+) -> List[List[SubgroupHandle]]:
+    """Partition subgroups into conjugacy classes by generator-orbit closure.
+
+    witnesses maps each subgroup to a generating tuple; every conjugate
+    found gets the tuple conjugated along with it.
+    """
+    classes: List[List[SubgroupHandle]] = []
+    done: set = set()
+    for seed in sorted(witnesses, key=sorted):
+        if seed in done:
+            continue
+        orbit: Dict[FrozenSet[Element], Tuple[Element, ...]] = {seed: witnesses[seed]}
         frontier = [seed]
         while frontier:
             nxt = []
             for sub in frontier:
+                wit = orbit[sub]
                 for gen in g.generators:
                     image = g.conjugate_set(sub, gen)
                     if image not in orbit:
-                        orbit.add(image)
+                        ginv = g.inverse(gen)
+                        orbit[image] = tuple(g.mul(g.mul(ginv, w), gen) for w in wit)
                         nxt.append(image)
             frontier = nxt
-        classes.append(sorted(orbit, key=sorted))
-        remaining -= orbit
-    return sorted(classes, key=lambda cls: sorted(cls[0]))
+        done.update(orbit)
+        classes.append([SubgroupHandle(s, orbit[s]) for s in sorted(orbit, key=sorted)])
+    return sorted(classes, key=lambda cls: sorted(cls[0].elements))
 
 
 def conjugacy_class_count(
@@ -428,13 +474,9 @@ def conjugacy_class_count(
 ) -> List[List[SubgroupHandle]]:
     """Spec-facing wrapper: partition handles into conjugacy classes."""
     by_set = {h.elements: h for h in subgroups}
-    classes = conjugacy_classes_of_subgroups(g, list(by_set))
-    out = []
-    for cls in classes:
-        out.append([
-            by_set.get(s, SubgroupHandle(s, _generator_witness(g, s))) for s in cls
-        ])
-    return out
+    classes = conjugacy_classes_of_subgroups(
+        g, {s: h.generator_witness for s, h in by_set.items()})
+    return [[by_set.get(h.elements, h) for h in cls] for cls in classes]
 
 
 def find_hall_subgroups(
@@ -479,18 +521,21 @@ def find_hall_subgroups(
             if len(current) == hall_order:
                 continue
             gens = found[current]
-            members = sorted(current)
-            coset_reps = set()
+            # one representative per right coset current*x: its least element
+            seen = set(current)
+            coset_reps = []
             for x in pi_elems:
-                if x in current:
+                if x in seen:
                     continue
-                coset_reps.add(min(mul(h, x) for h in members))
+                coset = [mul(h, x) for h in current]
+                seen.update(coset)
+                coset_reps.append(min(coset))
             for x in sorted(coset_reps):
                 steps += 1
                 if steps > budget.max_closure_steps:
                     exhaustive = False
                     break
-                bigger = subgroup_closure(g, list(gens) + [x], hall_order + 1)
+                bigger = subgroup_closure(g, [x], hall_order + 1, current, gens)
                 if bigger is None or bigger in found:
                     continue
                 if hall_order % len(bigger) == 0:
@@ -500,46 +545,12 @@ def find_hall_subgroups(
                         raise BudgetExceeded("stored subgroup budget exceeded")
         frontier = nxt
 
-    halls_over_seed = [s for s in found if len(s) == hall_order]
-    classes = _expand_conjugacy_orbits(g, halls_over_seed, found)
+    witnesses = {
+        s: _minimal_witness(g, gens, s) for s, gens in found.items() if len(s) == hall_order
+    }
+    classes = conjugacy_classes_of_subgroups(g, witnesses)
     all_halls = [h for cls in classes for h in cls]
     return CensusReport(g, pi, hall_order, all_halls, classes, exhaustive)
-
-
-def _expand_conjugacy_orbits(
-    g: ConcreteGroup,
-    representatives: Sequence[FrozenSet[Element]],
-    gens_of: Dict[FrozenSet[Element], Tuple[Element, ...]],
-) -> List[List[SubgroupHandle]]:
-    """Conjugation orbits of the given subgroups, witnesses conjugated along."""
-    remaining = {
-        s: _minimal_witness(g, gens_of.get(s, ()), s) for s in representatives
-    }
-    classes: List[List[SubgroupHandle]] = []
-    done = set()
-    for seed in sorted(remaining, key=sorted):
-        if seed in done:
-            continue
-        orbit: Dict[FrozenSet[Element], Tuple[Element, ...]] = {seed: remaining[seed]}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for sub in frontier:
-                wit = orbit[sub]
-                for gen in g.generators:
-                    image = g.conjugate_set(sub, gen)
-                    if image not in orbit:
-                        ginv = g.inverse(gen)
-                        orbit[image] = tuple(
-                            g.mul(g.mul(ginv, w), gen) for w in wit
-                        )
-                        nxt.append(image)
-            frontier = nxt
-        done |= set(orbit)
-        classes.append(
-            [SubgroupHandle(s, orbit[s]) for s in sorted(orbit, key=sorted)]
-        )
-    return sorted(classes, key=lambda cls: sorted(cls[0].elements))
 
 
 def _minimal_witness(
@@ -570,31 +581,33 @@ def pi_subgroup_lattice(
     """
     pi = tuple(sorted(set(pi)))
     cap = max_order if max_order is not None else pi_part(g.order, pi)
-    seeds: Dict[FrozenSet[Element], None] = {}
+    # each cyclic seed <x> with its generator x; found maps to generators
+    seeds: Dict[FrozenSet[Element], Element] = {}
     for x in _pi_elements(g, pi):
         sub = subgroup_closure(g, [x], cap + 1)
         if sub is not None and cap % len(sub) == 0:
-            seeds.setdefault(sub)
-    found: Dict[FrozenSet[Element], None] = dict(seeds)
-    found.setdefault(frozenset({g.identity}))
+            seeds.setdefault(sub, x)
+    found: Dict[FrozenSet[Element], Tuple[Element, ...]] = {
+        sub: (x,) for sub, x in seeds.items()
+    }
+    found.setdefault(frozenset({g.identity}), ())
     frontier = list(found)
     steps = 0
     exhaustive = True
-    seed_list = list(seeds)
     while frontier:
         nxt = []
         for current in frontier:
-            for seed in seed_list:
+            for seed, x in seeds.items():
                 if seed <= current:
                     continue
                 steps += 1
                 if steps > budget.max_closure_steps:
                     return list(found), False
-                join = subgroup_closure(g, list(current) + list(seed), cap + 1)
+                join = subgroup_closure(g, [x], cap + 1, current, found[current])
                 if join is None or join in found:
                     continue
                 if cap % len(join) == 0 and is_pi_number(len(join), pi):
-                    found[join] = None
+                    found[join] = found[current] + (x,)
                     nxt.append(join)
                     if len(found) > budget.max_subgroups:
                         return list(found), False
@@ -608,8 +621,10 @@ def is_conjugate_into(
     """Does some conjugate of k land inside hall?  Exhaustive over g."""
     if len(hall) % len(k) != 0:
         return False
+    mul = g.mul
     for c in g.elements:
-        if g.conjugate_set(k, c) <= hall:
+        cinv = g.inverse(c)
+        if all(mul(mul(cinv, x), c) in hall for x in k):
             return True
     return False
 
@@ -721,11 +736,7 @@ def center_quotient_hall_match(
     the resulting element sets with the PSL2(p) census.
     """
     p = sl2.spec.q
-    scalars = [1, p - 1]
-
-    def project(x: Element) -> Element:
-        return min(tuple((s * v) % p for v in x) for s in scalars)
-
+    project = _scalar_canonical(p, [1, p - 1])
     up = find_hall_subgroups(sl2, pi, budget)
     down = find_hall_subgroups(psl2, pi, budget)
     images = {frozenset(project(x) for x in h.elements) for h in up.halls_found}

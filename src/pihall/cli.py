@@ -19,8 +19,11 @@ from typing import List, Optional, Sequence, Tuple
 from pihall.arith import PrimeSet, is_pi_number, is_prime
 from pihall.bruteforce import (
     Budget,
+    BudgetExceeded,
+    NonPrimeField,
     build_group,
     find_hall_subgroups,
+    psl3_3_points,
     verify_report,
 )
 from pihall.classify import (
@@ -62,6 +65,7 @@ EXIT_VALIDATION = 3
 EXIT_OUT_OF_SCOPE = 4
 EXIT_INVARIANT = 5
 EXIT_VERIFY = 6
+EXIT_BUDGET = 7
 
 SWEEP_COLUMNS = [
     "group", "pi", "regime", "e_pi", "k_pi", "k_bound", "c_pi", "d_pi",
@@ -339,6 +343,8 @@ def concrete_from_spec(spec: GroupSpec, budget: Budget):
     if spec.family == LINEAR_UNITARY and spec.n == 2 and spec.eta == 1:
         kind = {SIMPLE: "PSL2", ISOMETRY: "SL2"}.get(spec.variant, "GL2")
         return build_group(kind, spec.q, budget)
+    if (spec.family, spec.n, spec.q, spec.eta, spec.variant) == (LINEAR_UNITARY, 3, 3, 1, SIMPLE):
+        return psl3_3_points()
     raise InvalidParameter(
         "brute-force", f"no concrete model for {format_group(spec)}"
     )
@@ -357,9 +363,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except (ValueError, InvalidParameter) as exc:
             print(f"parse error in instance {inst!r}: {exc}", file=sys.stderr)
             return EXIT_PARSE
-        group = concrete_from_spec(spec, budget)
-        report = classify(spec, pi)
-        census = find_hall_subgroups(group, tuple(sorted(pi)), budget)
+        try:
+            group = concrete_from_spec(spec, budget)
+            report = classify(spec, pi)
+            census = find_hall_subgroups(group, tuple(sorted(pi)), budget)
+        except (InvalidParameter, NonPrimeField) as exc:
+            print(f"validation error in instance {inst!r}: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        except BudgetExceeded as exc:
+            print(f"budget exceeded in instance {inst!r}: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
         outcome = verify_report(group, report, census, budget)
         all_ok = all_ok and outcome.passed
         results.append((inst, outcome, census))

@@ -12,12 +12,9 @@ from itertools import product
 from typing import List, Sequence, Tuple
 
 from pihall.arith import is_prime
+from pihall.bruteforce import BudgetExceeded, _closure, _perm_mul
 
 DEFAULT_CLOSURE_BUDGET = 10_000
-
-
-class BudgetExceeded(RuntimeError):
-    pass
 
 
 def kpi_wreath_cyclic(k: int, p: int) -> int:
@@ -39,10 +36,6 @@ def kpi_wreath_orbits(k: int, t: int) -> int:
     return k**t
 
 
-def _compose(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
 def close_permutations(
     perms: Sequence[Tuple[int, ...]], budget: int = DEFAULT_CLOSURE_BUDGET
 ) -> List[Tuple[int, ...]]:
@@ -53,23 +46,7 @@ def close_permutations(
     for g in perms:
         if sorted(g) != list(range(n)):
             raise ValueError(f"{g} is not a permutation of 0..{n - 1}")
-    identity = tuple(range(n))
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in perms:
-                y = _compose(x, g)
-                if y not in elements:
-                    elements.add(y)
-                    nxt.append(y)
-                    if len(elements) > budget:
-                        raise BudgetExceeded(
-                            f"permutation closure exceeded {budget} elements"
-                        )
-        frontier = nxt
-    return sorted(elements)
+    return _closure(perms, _perm_mul, tuple(range(n)), budget)
 
 
 def cycle_count(perm: Tuple[int, ...]) -> int:

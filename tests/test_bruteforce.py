@@ -1,4 +1,9 @@
+from functools import lru_cache
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pihall.arith import PrimeSet, is_pi_number, pi_part
 from pihall.bruteforce import (
@@ -8,6 +13,7 @@ from pihall.bruteforce import (
     NonPrimeField,
     _closure,
     _perm_mul,
+    _scalar_canonical,
     build_group,
     center_quotient_hall_match,
     conjugacy_class_count,
@@ -197,3 +203,56 @@ def test_closure_is_a_group():
     for a in elements[:6]:
         for b in elements[:6]:
             assert _perm_mul(a, b) in members
+
+
+def _bfs_closure(g, gens):
+    """Plain breadth-first closure: the reference for subgroup_closure."""
+    elements = {g.identity}
+    frontier = [g.identity]
+    while frontier:
+        frontier = [y for y in {g.mul(x, s) for x in frontier for s in gens}
+                    if y not in elements]
+        elements.update(frontier)
+    return frozenset(elements)
+
+
+@lru_cache(maxsize=None)
+def _small_group(kind, param):
+    return build_group(kind, param)
+
+
+@st.composite
+def closure_cases(draw):
+    g = _small_group(*draw(st.sampled_from(
+        [("SYM", n) for n in (3, 4, 5, 6)] + [("SL2", p) for p in (2, 3, 5, 7)])))
+    gens = draw(st.lists(st.sampled_from(g.elements), max_size=4))
+    split = draw(st.integers(0, len(gens)))
+    slack = draw(st.integers(-3, 3))
+    return g, gens, split, slack
+
+
+@given(closure_cases())
+@settings(max_examples=200, deadline=None)
+def test_closure_matches_bfs(case):
+    g, gens, split, slack = case
+    full = _bfs_closure(g, gens)
+    limit = max(1, len(full) + slack)
+    if split:
+        # extend the known subgroup <gens[:split]> by the remaining generators
+        base_gens = gens[:split]
+        got = subgroup_closure(g, gens[split:], limit, _bfs_closure(g, base_gens), base_gens)
+    else:
+        got = subgroup_closure(g, gens, limit)
+    if len(full) > limit:
+        assert got is None
+    else:
+        assert got == full
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_scalar_canonical_is_least_multiple(p):
+    for scalars in ([1, p - 1] if p > 2 else [1], list(range(1, p))):
+        canon = _scalar_canonical(p, scalars)
+        for x in product(range(p), repeat=4):
+            if any(x):
+                assert canon(x) == min(tuple(s * v % p for v in x) for s in scalars)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from pihall.cli import (
+    EXIT_BUDGET,
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_OUT_OF_SCOPE,
@@ -143,6 +144,28 @@ def test_verify_text_mode(capsys):
     )
     assert code == EXIT_OK
     assert "all instances passed" in out
+
+
+def test_verify_psl3_3_points_model(capsys):
+    code, out, _ = run_cli(
+        ["verify", "--instance", "PSL(3,3):2,3", "--format", "json"], capsys
+    )
+    assert code == EXIT_OK
+    census = json.loads(out)["instances"][0]["census"]
+    assert census["class_count"] == 2
+    assert census["hall_order"] == 432
+
+
+@pytest.mark.parametrize("instance,expected", [
+    ("PSL(2,101):2,3", EXIT_BUDGET),    # the build exceeds the group-order budget
+    ("PSL(4,2):2,3", EXIT_VALIDATION),  # no concrete model
+    ("PSL(2,9):2,3", EXIT_VALIDATION),  # matrix models need a prime field
+])
+def test_verify_failures_exit_cleanly(instance, expected, capsys):
+    code, out, err = run_cli(["verify", "--instance", instance], capsys)
+    assert code == expected
+    assert out == ""
+    assert len(err.splitlines()) == 1 and instance in err
 
 
 def test_console_entry_point():

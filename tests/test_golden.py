@@ -1,7 +1,8 @@
 """Byte-for-byte golden tests for the report formats.
 
 The goldens live in tests/golden/; any intentional format change must
-regenerate them (pihall classify ... --out tests/golden/<name>).
+regenerate them (pihall classify ... --out tests/golden/<name>, or
+pihall verify --format json --out tests/golden/verify_default.json).
 """
 
 import json
@@ -23,6 +24,8 @@ CASES = [
         ["sweep", "--group", "PSp(10,23)", "--group", "PSL(2,7)", "--group", "O-(12,13)",
          "--pi-list", "2,3", "--format", "csv"],
     ),
+    # every census count and class_representatives witness of the default set
+    ("verify_default.json", ["verify", "--format", "json"]),
 ]
 
 
