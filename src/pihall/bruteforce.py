@@ -291,7 +291,7 @@ def build_group(kind: str, param: int, budget: Budget = DEFAULT_BUDGET) -> Concr
             gens.append(canon((_primitive_root(p), 0, 0, 1)))
         variant = {"SL2": ISOMETRY, "PSL2": SIMPLE, "GL2": GENERAL, "PGL2": GENERAL}[kind]
         spec = GroupSpec(LINEAR_UNITARY, n=2, q=p, eta=1, variant=variant)
-        expected = group_order(validate(spec)).order.value if kind != "PGL2" else None
+        expected = group_order(validate(spec)).value if kind != "PGL2" else None
         if expected is not None and expected > budget.max_group_order:
             raise BudgetExceeded(f"{kind}({p}) exceeds the group-order budget")
         elements = _closure(gens, mul, identity, budget.max_group_order)
@@ -351,7 +351,7 @@ def psl3_3_points() -> ConcreteGroup:
 def _check_order(g: ConcreteGroup) -> None:
     if g.spec is None:
         return
-    expected = group_order(g.spec).order.value
+    expected = group_order(g.spec).value
     if expected != g.order:
         raise RuntimeError(
             f"{g.name}: closure produced order {g.order}, symbolic order is {expected}"

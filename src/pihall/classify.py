@@ -14,7 +14,7 @@ checked against, with the concrete numbers, so reports are auditable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -49,7 +49,6 @@ from pihall.groups import (
     InvalidParameter,
     format_group,
     order,
-    prime_spectrum,
     validate,
 )
 
@@ -136,14 +135,12 @@ def _report(
     notes: Sequence[str] = (),
     k_bound: Optional[Tuple[int, ...]] = None,
     e_pi: Optional[str] = None,
-    c_pi: Optional[str] = None,
-    d_default_no: bool = True,
 ) -> HallReport:
     classes = tuple(classes)
     if k_bound is not None:
         return HallReport(
             spec, pi, e_pi or OUT_OF_SCOPE, classes, None, tuple(sorted(k_bound)),
-            c_pi or OUT_OF_SCOPE, d_pi, scope_tag, hall_order, tuple(notes),
+            OUT_OF_SCOPE, d_pi, scope_tag, hall_order, tuple(notes),
         )
     k = sum(c.class_count for c in classes)
     e = YES if k >= 1 else NO
@@ -156,11 +153,13 @@ def _report(
 
 
 def _hall_order(spec: GroupSpec, pi: PrimeSet) -> int:
-    return pi_part(order(spec).order.value, pi)
+    return pi_part(order(spec).value, pi)
 
 
 def _gpi(spec: GroupSpec, pi: PrimeSet) -> frozenset:
-    return frozenset(pi) & frozenset(prime_spectrum(spec))
+    """pi ∩ pi(G) by divisibility, without factoring |G|."""
+    g = order(spec).value
+    return frozenset(p for p in pi if g % p == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +615,6 @@ def classify_symplectic(
 # orthogonal groups
 
 
-def _omega_order_pi(n: int, q: int, eta: Optional[int], pi: PrimeSet) -> int:
-    spec = GroupSpec(ORTHOGONAL, n=n, q=q, eta=eta, variant=ISOMETRY)
-    return pi_part(order(spec).order.value, pi)
-
-
 def classify_orthogonal(
     n: int, q: int, eta: Optional[int], pi: PrimeSet, variant: str = ISOMETRY
 ) -> HallReport:
@@ -744,15 +738,14 @@ def _orthogonal_small(spec, n, q, eta, pi, eps, gpi, h) -> HallReport:
                 [Condition("(q^2-1)_{2,3}", "24"), Condition("(q^2+1)_5", "5"),
                  Condition("q mod 8", str(q % 8))],
                 "invariant under O6(q); the similarity group interchanges the two classes")
-    rep = _report(spec, pi, TAG_FULL, classes, NO if n > 2 else YES, h)
-    return rep
+    return _report(spec, pi, TAG_FULL, classes, NO if n > 2 else YES, h)
 
 
 # expected pi-parts of |Omega_n(q)| in the three exotic constant cases
 _OMEGA_EXOTIC = {
-    7: ("Omega7(2)", 2**9 * 3**4 * 5 * 7, None),
-    8: ("2.Omega8+(2)", 2**13 * 3**5 * 5**2 * 7, 1),
-    9: ("2.Omega8+(2).2", 2**14 * 3**5 * 5**2 * 7, None),
+    7: ("Omega7(2)", 2**9 * 3**4 * 5 * 7),
+    8: ("2.Omega8+(2)", 2**13 * 3**5 * 5**2 * 7),
+    9: ("2.Omega8+(2).2", 2**14 * 3**5 * 5**2 * 7),
 }
 
 
@@ -791,10 +784,9 @@ def _orthogonal_large(spec, n, q, eta, pi, eps, gpi, h) -> HallReport:
             base_conds + [Condition("(q^2-1)_{2,3}", "24")],
             "the similarity group interchanges the two classes")
     if n in _OMEGA_EXOTIC and gpi == frozenset((2, 3, 5, 7)):
-        name, omega_pi, _ = _OMEGA_EXOTIC[n]
-        if n == 8 and eta != 1:
-            pass
-        elif _omega_order_pi(n, q, eta, pi) == omega_pi:
+        name, omega_pi = _OMEGA_EXOTIC[n]
+        omega = GroupSpec(ORTHOGONAL, n=n, q=q, eta=eta, variant=ISOMETRY)
+        if (n != 8 or eta == 1) and _hall_order(omega, pi) == omega_pi:
             if spec.variant == SIMPLE and n == 8:
                 structure, so = "Omega8+(2)", omega_pi // 2
             else:
@@ -1044,7 +1036,7 @@ def classify_defining_char(spec: GroupSpec, pi: PrimeSet) -> HallReport:
         raise ScopeError("this classifier needs 2 and 3 in pi")
     gpi = _gpi(spec, pi)
     h = _hall_order(spec, pi)
-    g_order = order(spec).order.value
+    g_order = order(spec).value
     q, n = spec.q, spec.n
 
     # flag-stabilizer patterns (linear groups only)
@@ -1062,7 +1054,7 @@ def classify_defining_char(spec: GroupSpec, pi: PrimeSet) -> HallReport:
                     f"Hall(flag stabilizer of type {shape})",
                     h_order, k_count,
                     (Condition("flag count", str(flags)),
-                     Condition("pi(stabilizer)", _fmt_set(prime_divisors(h_order))),
+                     Condition("pi(stabilizer)", _fmt_set(r for r in pi if h_order % r == 0)),
                      Condition("pi ∩ pi(S)", _fmt_set(gpi))),
                     fusion_note="one class per ordering of the dimension profile",
                 )
@@ -1088,8 +1080,7 @@ def classify_defining_char(spec: GroupSpec, pi: PrimeSet) -> HallReport:
     if spec.family == ORTHOGONAL and n % 2 == 0 and p == 2:
         m = n // 2
         sub = GroupSpec(ORTHOGONAL, n=n - 2, q=q, eta=spec.eta, variant=ISOMETRY)
-        sub_primes = frozenset(prime_spectrum(sub)) | {2}
-        if gpi == frozenset(pi) & sub_primes:
+        if gpi == _gpi(sub, pi) | {2}:
             index = (q**m - spec.eta) * (q ** (m - 1) + spec.eta) // (q - 1)
             if pi_part(index, pi) == 1:
                 desc = HallClassDescriptor(
@@ -1146,15 +1137,23 @@ def classify(spec: GroupSpec, pi: PrimeSet) -> HallReport:
     """Full decision procedure: validates, normalizes, and dispatches."""
     pi = PrimeSet(pi)
     spec = validate(spec)
-    spectrum = frozenset(prime_spectrum(spec))
-    gpi = frozenset(pi) & spectrum
-    h = _hall_order(spec, pi)
-    g_order = order(spec).order.value
+    report = _dispatch(spec, pi)
+    # family classifiers build their own spec (PSU(2,q) as PSL(2,q)); name it as asked
+    if report.spec != spec or report.spec.aliases != spec.aliases:
+        report = replace(report, spec=spec)
+    return report
 
-    if spectrum <= frozenset(pi):
+
+def _dispatch(spec: GroupSpec, pi: PrimeSet) -> HallReport:
+    gpi = _gpi(spec, pi)
+    h = _hall_order(spec, pi)
+    g_order = order(spec).value
+
+    if h == g_order:
+        # pi ⊇ pi(G), so pi(G) = pi ∩ pi(G)
         desc = HallClassDescriptor(
             "trivial.whole_group", format_group(spec), g_order, 1,
-            (Condition("pi ⊇ pi(G)", _fmt_set(spectrum)),),
+            (Condition("pi ⊇ pi(G)", _fmt_set(gpi)),),
         )
         return HallReport(spec, pi, YES, (desc,), 1, None, YES, YES, TAG_COVER, h)
     if len(gpi) <= 1:

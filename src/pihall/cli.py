@@ -358,12 +358,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for inst in instances:
         try:
             group_text, pi_text = inst.rsplit(":", 1)
-            spec = validate(parse_group(group_text))
+            parsed = parse_group(group_text)
             pi = parse_pi(pi_text)
         except (ValueError, InvalidParameter) as exc:
             print(f"parse error in instance {inst!r}: {exc}", file=sys.stderr)
             return EXIT_PARSE
         try:
+            spec = validate(parsed)
             group = concrete_from_spec(spec, budget)
             report = classify(spec, pi)
             census = find_hall_subgroups(group, tuple(sorted(pi)), budget)

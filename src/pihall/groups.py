@@ -4,7 +4,7 @@ A GroupSpec names a family plus parameters (degree/dimension n, field size
 q = p^a, sign eta, variant).  validate() enforces the parameter invariants
 and rewrites small classical groups along the exceptional isomorphisms so
 that downstream classifiers see one canonical family; order() produces the
-exact factored group order.
+exact group order from its formula, factored only when asked.
 """
 
 from __future__ import annotations
@@ -12,15 +12,15 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Tuple
 
 from pihall.arith import (
     FactoredInt,
     PrimeSet,
+    _cyclotomic_value,
     divide_factored,
     factor_q_pow_minus_1,
-    factor_q_pow_minus_eta,
     factor_q_pow_plus_1,
     factorize,
     is_prime,
@@ -369,113 +369,114 @@ def validate(spec: GroupSpec) -> GroupSpec:
 
 
 @dataclass(frozen=True)
+class OrderFormula:
+    """|G| = q^q_exp * prod(q^i - s for (i, s) in terms, s = +1 or -1)
+    * prod(Phi_d(q) for d in cyclotomic) / divisor.  Only 3D4 has cyclotomic
+    factors: q^8 + q^4 + 1 = Phi_3 Phi_6 Phi_12."""
+
+    q: int
+    q_exp: int
+    terms: Tuple[Tuple[int, int], ...]
+    divisor: int = 1
+    cyclotomic: Tuple[int, ...] = ()
+
+    def value(self) -> int:
+        q = self.q
+        out = q**self.q_exp * math.prod(q**i - s for i, s in self.terms)
+        out *= math.prod(_cyclotomic_value(d, q) for d in self.cyclotomic)
+        if out % self.divisor:
+            raise ValueError(f"{self.divisor} does not divide {out}")
+        return out // self.divisor
+
+    def factored(self) -> FactoredInt:
+        """The same product, factored through the cyclotomic pieces Phi_d(q)."""
+        q = self.q
+        p, a = _prime_power(q)
+        parts = [FactoredInt(q**self.q_exp, ((p, a * self.q_exp),) if self.q_exp else ())]
+        parts += [(factor_q_pow_minus_1 if s == 1 else factor_q_pow_plus_1)(q, i)
+                  for i, s in self.terms]
+        parts += [factorize(_cyclotomic_value(d, q)) for d in self.cyclotomic]
+        return divide_factored(merge_factored(parts), self.divisor)
+
+
+@dataclass(frozen=True)
 class GroupOrder:
-    order: FactoredInt
+    """|G| as an integer; its factorization is computed on first access only."""
+
+    value: int
     formula_tag: str
+    formula: Optional[OrderFormula] = field(default=None, compare=False)
+
+    @cached_property
+    def order(self) -> FactoredInt:
+        return factorize(self.value) if self.formula is None else self.formula.factored()
 
 
-def _q_power(q: int, e: int) -> FactoredInt:
-    if e == 0:
-        return FactoredInt(1, ())
-    p, a = _prime_power(q)
-    return FactoredInt(q**e, ((p, a * e),))
+# exceptional family -> (power of q, degrees i of the factors q^i - 1)
+_EXCEPTIONAL_DEGREES = {
+    G2: (6, (2, 6)),
+    F4: (24, (2, 6, 8, 12)),
+    E7: (63, (2, 6, 8, 10, 12, 14, 18)),
+    E8: (120, (2, 8, 12, 14, 18, 20, 24, 30)),
+}
+
+
+def _lie_formula(spec: GroupSpec) -> Tuple[str, OrderFormula]:
+    f, n, q, eta = spec.family, spec.n, spec.q, spec.eta
+    if f == LINEAR_UNITARY:
+        terms = tuple((i, eta**i) for i in range(2, n + 1))
+        if spec.variant == ISOMETRY:
+            return "sl", OrderFormula(q, n * (n - 1) // 2, terms)
+        if spec.variant == GENERAL:
+            return "gl", OrderFormula(q, n * (n - 1) // 2, terms + ((1, eta),))
+        return "psl", OrderFormula(q, n * (n - 1) // 2, terms, math.gcd(n, q - eta))
+    if f == SYMPLECTIC:
+        m = n // 2
+        terms = tuple((2 * i, 1) for i in range(1, m + 1))
+        if spec.variant == ISOMETRY:
+            return "sp", OrderFormula(q, m * m, terms)
+        return "psp", OrderFormula(q, m * m, terms, math.gcd(2, q - 1))
+    if f == ORTHOGONAL:
+        m = n // 2
+        if n % 2 == 1:
+            # Omega has index 2 in SO for odd q; the simple group equals Omega
+            terms = tuple((2 * i, 1) for i in range(1, m + 1))
+            return "omega-odd", OrderFormula(q, m * m, terms, 2)
+        terms = ((m, eta),) + tuple((2 * i, 1) for i in range(1, m))
+        divisor = math.gcd(2, q - 1)
+        if spec.variant == ISOMETRY or n <= 2:
+            return "omega-even", OrderFormula(q, m * (m - 1), terms, divisor)
+        centre = math.gcd(4, q**m - eta) // divisor
+        return "pomega-even", OrderFormula(q, m * (m - 1), terms, divisor * max(centre, 1))
+    if f in _EXCEPTIONAL_DEGREES:
+        top, degrees = _EXCEPTIONAL_DEGREES[f]
+        divisor = math.gcd(2, q - 1) if f == E7 else 1
+        return f.lower(), OrderFormula(q, top, tuple((i, 1) for i in degrees), divisor)
+    if f == E6:
+        terms = tuple((i, 1) for i in (2, 6, 8, 12)) + ((5, eta), (9, eta))
+        return "e6", OrderFormula(q, 36, terms, math.gcd(3, q - eta))
+    if f == TRI_D4:
+        return "3d4", OrderFormula(q, 12, ((6, 1), (2, 1)), cyclotomic=(3, 6, 12))
+    if f == TWO_G2:
+        return "2g2", OrderFormula(q, 3, ((3, -1), (1, 1)))
+    raise InvalidParameter("family", f"no order formula for {f!r}")
 
 
 @lru_cache(maxsize=None)
 def _order_cached(spec: GroupSpec) -> GroupOrder:
-    f, n, q, eta = spec.family, spec.n, spec.q, spec.eta
+    f, n = spec.family, spec.n
     if f == SYM:
-        return GroupOrder(factorize(math.factorial(n)), "factorial")
+        return GroupOrder(math.factorial(n), "factorial")
     if f == ALT:
-        return GroupOrder(factorize(math.factorial(n) // 2), "factorial/2")
+        return GroupOrder(math.factorial(n) // 2, "factorial/2")
     if f == SPORADIC:
-        return GroupOrder(factorize(SPORADIC_ORDERS[spec.sporadic_name]), "sporadic-table")
-
-    if f == LINEAR_UNITARY:
-        parts = [_q_power(q, n * (n - 1) // 2)]
-        parts += [factor_q_pow_minus_eta(q, i, eta) for i in range(2, n + 1)]
-        sl = merge_factored(parts)
-        if spec.variant == ISOMETRY:
-            return GroupOrder(sl, "sl")
-        if spec.variant == GENERAL:
-            return GroupOrder(
-                merge_factored([sl, factor_q_pow_minus_eta(q, 1, eta)]), "gl"
-            )
-        return GroupOrder(divide_factored(sl, math.gcd(n, q - eta)), "psl")
-    if f == SYMPLECTIC:
-        m = n // 2
-        parts = [_q_power(q, m * m)]
-        parts += [factor_q_pow_minus_1(q, 2 * i) for i in range(1, m + 1)]
-        sp = merge_factored(parts)
-        if spec.variant == ISOMETRY:
-            return GroupOrder(sp, "sp")
-        return GroupOrder(divide_factored(sp, math.gcd(2, q - 1)), "psp")
-    if f == ORTHOGONAL:
-        if n % 2 == 1:
-            m = (n - 1) // 2
-            if m == 0:
-                return GroupOrder(factorize(1), "o1")
-            parts = [_q_power(q, m * m)]
-            parts += [factor_q_pow_minus_1(q, 2 * i) for i in range(1, m + 1)]
-            so = merge_factored(parts)
-            # Omega has index 2 in SO for odd q; the simple group equals Omega
-            return GroupOrder(divide_factored(so, 2), "omega-odd")
-        m = n // 2
-        middle = factor_q_pow_minus_1(q, m) if eta == 1 else factor_q_pow_plus_1(q, m)
-        parts = [_q_power(q, m * (m - 1)), middle]
-        parts += [factor_q_pow_minus_1(q, 2 * i) for i in range(1, m)]
-        full = merge_factored(parts)
-        omega = divide_factored(full, math.gcd(2, q - 1))
-        if spec.variant == ISOMETRY or n <= 2:
-            return GroupOrder(omega, "omega-even")
-        d = math.gcd(4, q**m - eta)
-        centre = d // math.gcd(2, q - 1)
-        return GroupOrder(divide_factored(omega, max(centre, 1)), "pomega-even")
-
-    if f == G2:
-        parts = [_q_power(q, 6), factor_q_pow_minus_1(q, 6), factor_q_pow_minus_1(q, 2)]
-        return GroupOrder(merge_factored(parts), "g2")
-    if f == F4:
-        parts = [_q_power(q, 24)] + [factor_q_pow_minus_1(q, i) for i in (2, 6, 8, 12)]
-        return GroupOrder(merge_factored(parts), "f4")
-    if f == E6:
-        parts = [_q_power(q, 36)]
-        parts += [factor_q_pow_minus_1(q, i) for i in (2, 6, 8, 12)]
-        parts += [factor_q_pow_minus_eta(q, 5, eta), factor_q_pow_minus_eta(q, 9, eta)]
-        return GroupOrder(
-            divide_factored(merge_factored(parts), math.gcd(3, q - eta)), "e6"
-        )
-    if f == E7:
-        parts = [_q_power(q, 63)]
-        parts += [factor_q_pow_minus_1(q, i) for i in (2, 6, 8, 10, 12, 14, 18)]
-        return GroupOrder(
-            divide_factored(merge_factored(parts), math.gcd(2, q - 1)), "e7"
-        )
-    if f == E8:
-        parts = [_q_power(q, 120)]
-        parts += [factor_q_pow_minus_1(q, i) for i in (2, 8, 12, 14, 18, 20, 24, 30)]
-        return GroupOrder(merge_factored(parts), "e8")
-    if f == TRI_D4:
-        # q^12 (q^8 + q^4 + 1)(q^6 - 1)(q^2 - 1); q^8+q^4+1 = Phi_3 Phi_6 Phi_12
-        q8q41 = merge_factored(
-            [factorize(_cyc(3, q)), factorize(_cyc(6, q)), factorize(_cyc(12, q))]
-        )
-        parts = [_q_power(q, 12), q8q41, factor_q_pow_minus_1(q, 6), factor_q_pow_minus_1(q, 2)]
-        return GroupOrder(merge_factored(parts), "3d4")
-    if f == TWO_G2:
-        parts = [_q_power(q, 3), factor_q_pow_plus_1(q, 3), factor_q_pow_minus_1(q, 1)]
-        return GroupOrder(merge_factored(parts), "2g2")
-    raise InvalidParameter("family", f"no order formula for {f!r}")
-
-
-def _cyc(n: int, q: int) -> int:
-    from pihall.arith import _cyclotomic_value
-
-    return _cyclotomic_value(n, q)
+        return GroupOrder(SPORADIC_ORDERS[spec.sporadic_name], "sporadic-table")
+    tag, formula = _lie_formula(spec)
+    return GroupOrder(formula.value(), tag, formula)
 
 
 def order(spec: GroupSpec) -> GroupOrder:
-    """Exact factored order of a validated spec."""
+    """Exact order of a validated spec: .value now, .order (factored) on demand."""
     return _order_cached(spec)
 
 

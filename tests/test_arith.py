@@ -1,3 +1,4 @@
+import importlib.util
 import math
 
 import pytest
@@ -235,3 +236,47 @@ def test_cyclotomic_factoring_matches_direct():
         for n in (1, 2, 6, 12, 30):
             assert factor_q_pow_minus_eta(q, n, 1).value == q**n - 1
             assert factor_q_pow_minus_eta(q, n, -1).value == q**n - (-1) ** n
+
+
+# psi_12 and psi_13: the least strong pseudoprimes to the first 12 and 13
+# prime bases (Sorenson & Webster, Math. Comp. 86, 2017)
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_rejects_psi12_and_psi13():
+    assert not is_prime(PSI_12)
+    assert not is_prime(PSI_13)
+
+
+def test_factorize_splits_psi12():
+    assert factorize(7 * PSI_12).factors == ((7, 1), (399165290221, 1), (798330580441, 1))
+
+
+def test_is_prime_rejects_base2_and_lucas_pseudoprimes():
+    strong_base2 = (2047, 3277, 4033, 4681, 8321, 3215031751)
+    strong_lucas = (5459, 5777, 10877, 16109, 18971, 22499)
+    assert not any(is_prime(n) for n in strong_base2 + strong_lucas)
+    assert all(is_prime(p) for p in (2**61 - 1, 2**89 - 1, 2**127 - 1, 2**521 - 1))
+
+
+@pytest.mark.skipif(importlib.util.find_spec("sympy") is None, reason="needs sympy")
+@given(st.one_of(
+    st.integers(min_value=-5, max_value=10**6),
+    st.integers(min_value=0, max_value=2**64),
+    st.integers(min_value=0, max_value=2**200),
+))
+@settings(max_examples=400, deadline=None)
+def test_is_prime_agrees_with_sympy(n):
+    import sympy
+
+    assert is_prime(n) == sympy.isprime(n)
+
+
+@given(
+    n=st.integers(min_value=-(2**300), max_value=2**300).filter(bool),
+    r=st.sampled_from(SMALL_R),
+)
+@settings(max_examples=200, deadline=None)
+def test_r_part_matches_repeated_division(n, r):
+    assert r_part(n, r) == direct_r_part(n, r)

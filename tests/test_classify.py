@@ -604,3 +604,19 @@ def test_full_grid_descriptor_soundness():
             )
             if not c.structure.startswith("Hall(") and c.case_id != "trivial.whole_group":
                 assert structure_order(c.structure) == c.structure_order, c.structure
+
+
+@pytest.mark.parametrize("text", ["PSL(11,1097,-)", "E8(10007)", "PSL(12,100003)"])
+def test_classify_never_factors_the_group_order(text, monkeypatch):
+    from pihall import arith, groups
+
+    def refuse(n):
+        raise AssertionError(f"Pollard rho called on {n}")
+
+    monkeypatch.setattr(arith, "_pollard_rho", refuse)
+    groups._order_cached.cache_clear()
+    arith._factor_cached.cache_clear()
+    spec = validate(parse_group(text))
+    report = classify(spec, PrimeSet((2, 3)))
+    assert report.scope_tag == TAG_FULL
+    assert report.hall_order == pi_part(order(spec).value, (2, 3))

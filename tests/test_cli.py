@@ -117,6 +117,16 @@ def test_sweep_small_grid(capsys):
     assert data["violations"] == []
 
 
+def test_sweep_names_each_cell_once(capsys):
+    # PSU(2,7) is answered through PSL(2,7) but keeps its own name in every row
+    code, out, _ = run_cli(
+        ["sweep", "--group", "PSL(2,7,-)", "--pi-list", "2,3;2,3,7", "--format", "json"],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert [row["group"] for row in json.loads(out)["rows"]] == ["PSL(2,7,-)"] * 2
+
+
 def test_sweep_empty_grid(capsys):
     code, out, _ = run_cli(
         ["sweep", "--group", "Alt(4)", "--pi-list", "2,3", "--format", "csv"], capsys
@@ -160,6 +170,7 @@ def test_verify_psl3_3_points_model(capsys):
     ("PSL(2,101):2,3", EXIT_BUDGET),    # the build exceeds the group-order budget
     ("PSL(4,2):2,3", EXIT_VALIDATION),  # no concrete model
     ("PSL(2,9):2,3", EXIT_VALIDATION),  # matrix models need a prime field
+    ("Alt(4):2,3", EXIT_VALIDATION),    # parses, but Alt(4) is not simple
 ])
 def test_verify_failures_exit_cleanly(instance, expected, capsys):
     code, out, err = run_cli(["verify", "--instance", instance], capsys)

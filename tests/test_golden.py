@@ -26,6 +26,9 @@ CASES = [
     ),
     # every census count and class_representatives witness of the default set
     ("verify_default.json", ["verify", "--format", "json"]),
+    # a unitary group whose order has 20-40 digit cyclotomic factors
+    ("psu11_1097_23.json",
+     ["classify", "--group", "PSL(11,1097,-)", "--pi", "2,3", "--format", "json"]),
 ]
 
 

@@ -1,7 +1,19 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pihall.arith import pi_part
+from pihall.classify import _gpi
 from pihall.groups import (
+    E6,
+    GENERAL,
+    ISOMETRY,
+    LIE_FAMILIES,
+    LINEAR_UNITARY,
+    ORTHOGONAL,
+    SIMPLE,
+    SYMPLECTIC,
+    TWO_G2,
     GroupSpec,
     InvalidParameter,
     NonSimple,
@@ -146,3 +158,41 @@ def test_exceptional_order_values():
     assert order_of("G2(3)") == 3**6 * (3**6 - 1) * (3**2 - 1)
     assert order_of("3D4(2)") == 211341312
     assert order_of("2G2(27)") == 27**3 * (27**3 + 1) * 26
+
+
+_PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 49)
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 61, 73, 97)
+
+
+@st.composite
+def lie_specs(draw):
+    family = draw(st.sampled_from(sorted(LIE_FAMILIES)))
+    q = draw(st.sampled_from(_PRIME_POWERS))
+    n = draw(st.integers(min_value=2, max_value=12))
+    eta = draw(st.sampled_from((1, -1)))
+    variant = draw(st.sampled_from((SIMPLE, ISOMETRY, GENERAL)))
+    if family == LINEAR_UNITARY:
+        spec = GroupSpec(family, n=n, q=q, eta=eta, variant=variant)
+    elif family == SYMPLECTIC:
+        spec = GroupSpec(family, n=n, q=q, variant=variant)
+    elif family == ORTHOGONAL:
+        spec = GroupSpec(family, n=n, q=q, eta=None if n % 2 else eta, variant=variant)
+    elif family == E6:
+        spec = GroupSpec(family, q=q, eta=eta)
+    elif family == TWO_G2:
+        spec = GroupSpec(family, q=3 ** draw(st.sampled_from((3, 5, 7))))
+    else:
+        spec = GroupSpec(family, q=q)
+    try:
+        return validate(spec)
+    except InvalidParameter:
+        assume(False)
+
+
+@given(spec=lie_specs(), pi=st.sets(st.sampled_from(_PRIMES), min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_order_value_matches_its_factorization(spec, pi):
+    o = order(spec)
+    assert o.value == o.order.value
+    # the classifier's divisibility test agrees with the factored spectrum
+    assert _gpi(spec, pi) == frozenset(pi) & prime_spectrum(spec)
