@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat, takewhile
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from pihall.arith import factorize, is_pi_number, is_prime, pi_part
+from pihall.arith import factorize, is_prime, pi_part
 from pihall.classify import HallReport, YES
 from pihall.groups import (
     ALT,
@@ -182,6 +182,7 @@ def _extend(
     base_gens: Sequence[Element],
     new_gens: Iterable[Element],
     limit: int,
+    admissible: Optional[FrozenSet[Element]] = None,
 ) -> Optional[set]:
     """The elements of <base_gens, new_gens>, where base = <base_gens> is known.
 
@@ -189,7 +190,9 @@ def _extend(
     extends H by whole right cosets.  Starting from H*t, each product r*s
     of a coset representative r and a generator s that lands outside adds
     the coset H*(r*s), with r*s as its representative.  Returns None as
-    soon as the result would have more than limit elements.
+    soon as the result would have more than limit elements, or, when an
+    admissible set holding base is given, as soon as a new coset holds an
+    element outside it.
     """
     elements = set(base)
     if len(elements) > limit:
@@ -200,18 +203,20 @@ def _extend(
             continue
         gens.append(t)
         block = list(elements)
-        reps = [t]
-        if len(elements) + len(block) > limit:
-            return None
-        elements.update(map(mul, block, repeat(t)))
-        for r in reps:  # reps grows while it is walked
-            for s in gens:
-                y = mul(r, s)
-                if y not in elements:
-                    if len(elements) + len(block) > limit:
-                        return None
-                    elements.update(map(mul, block, repeat(y)))
-                    reps.append(y)
+        reps = []  # grows while the products r*s are walked
+        for y in chain((t,), (mul(r, s) for r in reps for s in gens)):
+            if y in elements:
+                continue
+            if len(elements) + len(block) > limit:
+                return None
+            coset = map(mul, block, repeat(y))
+            if admissible is not None:  # stop at the first element outside it
+                coset = takewhile(admissible.__contains__, coset)
+            coset = list(coset)
+            if len(coset) < len(block):
+                return None
+            elements.update(coset)
+            reps.append(y)
     return elements
 
 
@@ -368,42 +373,49 @@ def subgroup_closure(
     limit: int,
     base: Optional[FrozenSet[Element]] = None,
     base_gens: Sequence[Element] = (),
+    admissible: Optional[FrozenSet[Element]] = None,
 ) -> Optional[FrozenSet[Element]]:
     """Closure of gens inside g, or None once it would exceed limit elements.
 
     With a known subgroup base = <base_gens>, the closure of base and gens
-    is built by extending base, without closing it again.
+    is built by extending base, without closing it again.  With an
+    admissible set holding base, the result is None as soon as the closure
+    reaches an element outside it.
     """
     gens = [x for x in gens if x != g.identity]
     if base is None:
         if not gens:
             return frozenset({g.identity})
         base = frozenset({g.identity})
-    elements = _extend(g.mul, base, base_gens, gens, limit)
+    elements = _extend(g.mul, base, base_gens, gens, limit, admissible)
     return None if elements is None else frozenset(elements)
 
 
-def _pi_elements(g: ConcreteGroup, pi: Sequence[int]) -> List[Element]:
-    return [x for x in g.elements if is_pi_number(g.element_order(x), pi)]
+def _orders_dividing(g: ConcreteGroup, n: int) -> List[Element]:
+    """The elements of g whose order divides n, in the order of g.elements.
+
+    By Lagrange they hold every subgroup whose order divides n.
+    """
+    orders = list(map(g.element_order, g.elements))
+    divides = {o: n % o == 0 for o in set(orders)}
+    return [x for x, o in zip(g.elements, orders) if divides[o]]
 
 
 def sylow_subgroup(g: ConcreteGroup, r: int) -> FrozenSet[Element]:
     """A Sylow r-subgroup, grown by adjoining r-elements."""
     target = pi_part(g.order, (r,))
-    relements = [x for x in g.elements if g.element_order(x) != 1
-                 and is_pi_number(g.element_order(x), (r,))]
+    relements = _orders_dividing(g, target)
+    admissible = frozenset(relements)
     current = frozenset({g.identity})
     gens: Tuple[Element, ...] = ()
-    if target == 1:
-        return current
     progress = True
     while len(current) < target and progress:
         progress = False
         for x in relements:
             if x in current:
                 continue
-            bigger = subgroup_closure(g, [x], target + 1, current, gens)
-            if bigger is not None and is_pi_number(len(bigger), (r,)):
+            bigger = subgroup_closure(g, [x], target + 1, current, gens, admissible)
+            if bigger is not None:
                 current, gens = bigger, gens + (x,)
                 progress = True
                 if len(current) == target:
@@ -424,16 +436,18 @@ def _generator_witness(
     head = by_order[0]
     if g.element_order(head) == len(subgroup):
         return (head,)
+    limit = len(subgroup)
+    # <a> is closed once and extended by each b; a closure that leaves the
+    # subgroup is dropped there
     for a in by_order[:40]:
+        cyclic = frozenset(_extend(g.mul, (g.identity,), (), (a,), limit))
         for b in by_order:
-            got = subgroup_closure(g, [a, b], len(subgroup) + 1)
-            if got == subgroup:
+            if subgroup_closure(g, [b], limit, cyclic, (a,), subgroup) == subgroup:
                 return (a, b)
     for a in by_order[:20]:
         for b in by_order[:20]:
             for c in by_order:
-                got = subgroup_closure(g, [a, b, c], len(subgroup) + 1)
-                if got == subgroup:
+                if subgroup_closure(g, [a, b, c], limit, admissible=subgroup) == subgroup:
                     return (a, b, c)
     return tuple(members)  # give up: the full set generates itself
 
@@ -500,10 +514,9 @@ def find_hall_subgroups(
 
     relevant = [r for r in pi if g.order % r == 0]
     seed = sylow_subgroup(g, relevant[0])
-    pi_elems = [
-        x for x in _pi_elements(g, pi)
-        if x != g.identity and hall_order % g.element_order(x) == 0
-    ]
+    pi_elems = _orders_dividing(g, hall_order)
+    admissible = frozenset(pi_elems)
+    pi_elems.remove(g.identity)
     mul = g.mul
 
     # all pi-subgroups containing the fixed Sylow subgroup
@@ -516,9 +529,7 @@ def find_hall_subgroups(
     while frontier and exhaustive:
         nxt = []
         for current in frontier:
-            if not exhaustive:
-                break
-            if len(current) == hall_order:
+            if len(current) == hall_order or not exhaustive:
                 continue
             gens = found[current]
             # one representative per right coset current*x: its least element
@@ -527,7 +538,7 @@ def find_hall_subgroups(
             for x in pi_elems:
                 if x in seen:
                     continue
-                coset = [mul(h, x) for h in current]
+                coset = list(map(mul, current, repeat(x)))
                 seen.update(coset)
                 coset_reps.append(min(coset))
             for x in sorted(coset_reps):
@@ -535,14 +546,14 @@ def find_hall_subgroups(
                 if steps > budget.max_closure_steps:
                     exhaustive = False
                     break
-                bigger = subgroup_closure(g, [x], hall_order + 1, current, gens)
+                # a closure of pi-elements is a pi-subgroup: its order divides hall_order
+                bigger = subgroup_closure(g, [x], hall_order + 1, current, gens, admissible)
                 if bigger is None or bigger in found:
                     continue
-                if hall_order % len(bigger) == 0:
-                    found[bigger] = tuple(gens) + (x,)
-                    nxt.append(bigger)
-                    if len(found) > budget.max_subgroups:
-                        raise BudgetExceeded("stored subgroup budget exceeded")
+                found[bigger] = tuple(gens) + (x,)
+                nxt.append(bigger)
+                if len(found) > budget.max_subgroups:
+                    raise BudgetExceeded("stored subgroup budget exceeded")
         frontier = nxt
 
     witnesses = {
@@ -580,20 +591,20 @@ def pi_subgroup_lattice(
     Hall census above does not depend on it.
     """
     pi = tuple(sorted(set(pi)))
-    cap = max_order if max_order is not None else pi_part(g.order, pi)
+    # a pi-subgroup of order dividing max_order has order dividing its pi-part
+    cap = pi_part(max_order if max_order is not None else g.order, pi)
     # each cyclic seed <x> with its generator x; found maps to generators
     seeds: Dict[FrozenSet[Element], Element] = {}
-    for x in _pi_elements(g, pi):
-        sub = subgroup_closure(g, [x], cap + 1)
-        if sub is not None and cap % len(sub) == 0:
-            seeds.setdefault(sub, x)
+    elems = _orders_dividing(g, cap)
+    admissible = frozenset(elems)
+    for x in elems:  # <x> has order dividing cap
+        seeds.setdefault(subgroup_closure(g, [x], cap), x)
     found: Dict[FrozenSet[Element], Tuple[Element, ...]] = {
         sub: (x,) for sub, x in seeds.items()
     }
     found.setdefault(frozenset({g.identity}), ())
     frontier = list(found)
     steps = 0
-    exhaustive = True
     while frontier:
         nxt = []
         for current in frontier:
@@ -603,16 +614,16 @@ def pi_subgroup_lattice(
                 steps += 1
                 if steps > budget.max_closure_steps:
                     return list(found), False
-                join = subgroup_closure(g, [x], cap + 1, current, found[current])
+                join = subgroup_closure(g, [x], cap + 1, current, found[current], admissible)
                 if join is None or join in found:
                     continue
-                if cap % len(join) == 0 and is_pi_number(len(join), pi):
+                if cap % len(join) == 0:
                     found[join] = found[current] + (x,)
                     nxt.append(join)
                     if len(found) > budget.max_subgroups:
                         return list(found), False
         frontier = nxt
-    return list(found), exhaustive
+    return list(found), True
 
 
 def is_conjugate_into(
@@ -703,20 +714,16 @@ def verify_report(
         ("hall_order", str(expected_hall), str(census.hall_order),
          expected_hall == census.hall_order)
     )
-    e_actual = YES if census.class_count > 0 else "no"
-    if report.e_pi in (YES, "no"):
+    count = census.class_count  # a census cut short by its budget decides no count
+    if census.exhaustive and report.e_pi in (YES, "no"):
+        e_actual = YES if count > 0 else "no"
         checks.append(("e_pi", report.e_pi, e_actual, report.e_pi == e_actual))
-    if report.k_pi is not None:
-        checks.append(
-            ("k_pi", str(report.k_pi), str(census.class_count),
-             report.k_pi == census.class_count)
-        )
-    elif report.k_bound is not None:
+    if census.exhaustive and report.k_pi is not None:
+        checks.append(("k_pi", str(report.k_pi), str(count), report.k_pi == count))
+    elif census.exhaustive and report.k_bound is not None:
         # bound-only verdict: the census must land inside the bound set
-        checks.append(
-            ("k_pi within bound", str(set(report.k_bound)), str(census.class_count),
-             census.class_count in report.k_bound)
-        )
+        checks.append(("k_pi within bound", str(set(report.k_bound)), str(count),
+                       count in report.k_bound))
     for cls in census.classes:
         sizes = {h.order for h in cls}
         checks.append(

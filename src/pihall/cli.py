@@ -351,7 +351,7 @@ def concrete_from_spec(spec: GroupSpec, budget: Budget):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    budget = Budget(max_closure_steps=args.budget) if args.budget else Budget()
+    budget = Budget() if args.budget is None else Budget(max_closure_steps=args.budget)
     instances = args.instance or DEFAULT_VERIFY_INSTANCES
     results = []
     all_ok = True
@@ -368,11 +368,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             group = concrete_from_spec(spec, budget)
             report = classify(spec, pi)
             census = find_hall_subgroups(group, tuple(sorted(pi)), budget)
+            if not census.exhaustive:
+                # a partial census decides no verdict, either way
+                raise BudgetExceeded(f"census stopped after {budget.max_closure_steps} "
+                                     "closure steps")
         except (InvalidParameter, NonPrimeField) as exc:
             print(f"validation error in instance {inst!r}: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
         except BudgetExceeded as exc:
-            print(f"budget exceeded in instance {inst!r}: {exc}", file=sys.stderr)
+            print(f"budget exhausted in instance {inst!r}: {exc}", file=sys.stderr)
             return EXIT_BUDGET
         outcome = verify_report(group, report, census, budget)
         all_ok = all_ok and outcome.passed
@@ -458,6 +462,16 @@ def cmd_kpi_bound(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pihall",
@@ -487,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="brute-force cross-check of the classifier")
     p_verify.add_argument("--instance", action="append",
                           help="GROUP:pi, e.g. 'PSL(2,11):2,3' (repeatable)")
-    p_verify.add_argument("--budget", type=int, help="closure step budget")
+    p_verify.add_argument("--budget", type=_positive_int, help="closure step budget (>= 1)")
     p_verify.add_argument("--format", choices=["json", "text"], default="text")
     p_verify.add_argument("--out")
     p_verify.set_defaults(func=cmd_verify)

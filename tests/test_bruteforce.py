@@ -196,6 +196,17 @@ def test_budget_marks_nonexhaustive():
     assert census.exhaustive is False
 
 
+@pytest.mark.parametrize("kind,p", [("PSL2", 13), ("SYM", 6)])
+def test_partial_census_decides_no_count(kind, p):
+    g = build_group(kind, p)
+    report = classify(g.spec, PrimeSet((2, 3)))
+    census = find_hall_subgroups(g, (2, 3), Budget(max_closure_steps=1))
+    assert census.exhaustive is False
+    fields = {f for f, _, _, _ in verify_report(g, report, census).checks}
+    assert fields.isdisjoint({"e_pi", "k_pi", "k_pi within bound"})
+    assert "hall_order" in fields
+
+
 def test_closure_is_a_group():
     elements = _closure([(1, 0, 2, 3), (1, 2, 3, 0)], _perm_mul, (0, 1, 2, 3), 100)
     assert len(elements) == 24
@@ -228,25 +239,54 @@ def closure_cases(draw):
     gens = draw(st.lists(st.sampled_from(g.elements), max_size=4))
     split = draw(st.integers(0, len(gens)))
     slack = draw(st.integers(-3, 3))
-    return g, gens, split, slack
+    admissible = None
+    if draw(st.booleans()):
+        # the closure, less a few of its elements, plus random others; it
+        # always holds the known base
+        full = _bfs_closure(g, gens)
+        removed = draw(st.sets(st.sampled_from(sorted(full)), max_size=2))
+        extras = draw(st.sets(st.sampled_from(g.elements), max_size=20))
+        admissible = (full - removed) | extras | _bfs_closure(g, gens[:split])
+    return g, gens, split, slack, admissible
 
 
 @given(closure_cases())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_closure_matches_bfs(case):
-    g, gens, split, slack = case
+    g, gens, split, slack, admissible = case
     full = _bfs_closure(g, gens)
     limit = max(1, len(full) + slack)
     if split:
         # extend the known subgroup <gens[:split]> by the remaining generators
         base_gens = gens[:split]
-        got = subgroup_closure(g, gens[split:], limit, _bfs_closure(g, base_gens), base_gens)
+        got = subgroup_closure(g, gens[split:], limit, _bfs_closure(g, base_gens), base_gens,
+                               admissible)
     else:
-        got = subgroup_closure(g, gens, limit)
-    if len(full) > limit:
+        got = subgroup_closure(g, gens, limit, admissible=admissible)
+    if len(full) > limit or (admissible is not None and not full <= admissible):
         assert got is None
     else:
         assert got == full
+
+
+def test_census_stops_closures_at_inadmissible_elements():
+    # Sym(7) with pi = {2,3,5}: most closures the extension search tries
+    # outgrow the Hall order 720 and hold a 7-cycle; stopping at the first
+    # coset with one, instead of at the order limit, cuts the
+    # multiplications to under a third
+    g = build_group("SYM", 7)
+    count = 0
+    mul = g.mul
+
+    def counting_mul(a, b):
+        nonlocal count
+        count += 1
+        return mul(a, b)
+
+    g.mul = counting_mul
+    census = find_hall_subgroups(g, (2, 3, 5))
+    assert census.class_count == 1 and len(census.halls_found) == 7
+    assert count < 300_000
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])

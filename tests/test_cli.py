@@ -179,6 +179,32 @@ def test_verify_failures_exit_cleanly(instance, expected, capsys):
     assert len(err.splitlines()) == 1 and instance in err
 
 
+def test_verify_partial_census_exits_budget(capsys):
+    # neither census finishes within one closure step: no verdict either way
+    code, out, err = run_cli(
+        ["verify", "--instance", "PSL(2,13):2,3", "--instance", "Sym(6):2,3",
+         "--budget", "1"], capsys)
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "budget exhausted" in err
+    assert "PASS" not in err and "FAIL" not in err
+    code, out, err = run_cli(["verify", "--instance", "Sym(6):2,3", "--budget", "1"], capsys)
+    assert code == EXIT_BUDGET and out == "" and "Sym(6):2,3" in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-3", "x"])
+def test_verify_rejects_budget_below_one(budget, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--instance", "Sym(5):2,3", "--budget", budget])
+    assert exc.value.code == EXIT_PARSE
+    assert "--budget" in capsys.readouterr().err
+
+
+def test_verify_budget_that_suffices(capsys):
+    code, out, _ = run_cli(["verify", "--instance", "Sym(5):2,3", "--budget", "1000"], capsys)
+    assert code == EXIT_OK and out.startswith("[PASS] Sym(5):2,3")
+
+
 def test_console_entry_point():
     # exercised through the installed script path
     proc = subprocess.run(
