@@ -134,7 +134,7 @@ def _factor_into(n: int, out: Dict[int, int]) -> None:
 
 
 @lru_cache(maxsize=None)
-def _factor_cached(n: int) -> Tuple[Tuple[int, int], ...]:
+def _factor_cached(n: int) -> FactoredInt:
     factors: Dict[int, int] = {}
     m = n
     for p in _SMALL_PRIMES:
@@ -149,7 +149,8 @@ def _factor_cached(n: int) -> Tuple[Tuple[int, int], ...]:
         d += 2
     if m > 1:
         _factor_into(m, factors)
-    return tuple(sorted(factors.items()))
+    # checked once here; every later factorize(n) returns this same object
+    return FactoredInt(n, tuple(sorted(factors.items())))
 
 
 @dataclass(frozen=True)
@@ -172,17 +173,6 @@ class FactoredInt:
     def primes(self) -> Tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def as_dict(self) -> Dict[int, int]:
-        return dict(self.factors)
-
-    def pi_part(self, pi: Iterable[int]) -> int:
-        pis = set(pi)
-        out = 1
-        for p, e in self.factors:
-            if p in pis:
-                out *= p**e
-        return out
-
     def __str__(self) -> str:
         if not self.factors:
             return "1"
@@ -193,7 +183,7 @@ def factorize(n: int) -> FactoredInt:
     """Complete prime factorization (trial division, then Pollard rho)."""
     if n < 1:
         raise ValueError("factorize expects a positive integer")
-    return FactoredInt(n, _factor_cached(n))
+    return _factor_cached(n)
 
 
 def prime_divisors(n: int) -> Tuple[int, ...]:
@@ -381,55 +371,3 @@ def _cyclotomic_value(n: int, q: int) -> int:
         if n % d == 0:
             val //= _cyclotomic_value(d, q)
     return val
-
-
-def factor_q_pow_minus_1(q: int, n: int) -> FactoredInt:
-    """Factor q^n - 1 through its cyclotomic pieces (fast for Lie-type orders)."""
-    factors: Dict[int, int] = {}
-    for d in range(1, n + 1):
-        if n % d == 0:
-            for p, e in factorize(_cyclotomic_value(d, q)).factors:
-                factors[p] = factors.get(p, 0) + e
-    return FactoredInt(q**n - 1, tuple(sorted(factors.items())))
-
-
-def factor_q_pow_plus_1(q: int, n: int) -> FactoredInt:
-    """Factor q^n + 1 = (q^2n - 1)/(q^n - 1) through cyclotomic pieces."""
-    factors: Dict[int, int] = {}
-    for d in range(1, 2 * n + 1):
-        if 2 * n % d == 0 and n % d != 0:
-            for p, e in factorize(_cyclotomic_value(d, q)).factors:
-                factors[p] = factors.get(p, 0) + e
-    return FactoredInt(q**n + 1, tuple(sorted(factors.items())))
-
-
-def factor_q_pow_minus_eta(q: int, n: int, eta: int) -> FactoredInt:
-    """Factor q^n - eta^n."""
-    if eta == 1 or n % 2 == 0:
-        return factor_q_pow_minus_1(q, n)
-    return factor_q_pow_plus_1(q, n)
-
-
-def merge_factored(parts: Iterable[FactoredInt]) -> FactoredInt:
-    """Product of already-factored integers, keeping the factorization exact."""
-    value = 1
-    factors: Dict[int, int] = {}
-    for part in parts:
-        value *= part.value
-        for p, e in part.factors:
-            factors[p] = factors.get(p, 0) + e
-    return FactoredInt(value, tuple(sorted(factors.items())))
-
-
-def divide_factored(num: FactoredInt, d: int) -> FactoredInt:
-    """num / d with exact bookkeeping; d must divide num.value."""
-    if num.value % d != 0:
-        raise ValueError(f"{d} does not divide {num.value}")
-    factors = num.as_dict()
-    for p, e in factorize(d).factors:
-        if factors.get(p, 0) < e:
-            raise ValueError(f"{d} does not divide the stored factorization")
-        factors[p] -= e
-        if factors[p] == 0:
-            del factors[p]
-    return FactoredInt(num.value // d, tuple(sorted(factors.items())))

@@ -296,7 +296,7 @@ def build_group(kind: str, param: int, budget: Budget = DEFAULT_BUDGET) -> Concr
             gens.append(canon((_primitive_root(p), 0, 0, 1)))
         variant = {"SL2": ISOMETRY, "PSL2": SIMPLE, "GL2": GENERAL, "PGL2": GENERAL}[kind]
         spec = GroupSpec(LINEAR_UNITARY, n=2, q=p, eta=1, variant=variant)
-        expected = group_order(validate(spec)).value if kind != "PGL2" else None
+        expected = group_order(validate(spec)) if kind != "PGL2" else None
         if expected is not None and expected > budget.max_group_order:
             raise BudgetExceeded(f"{kind}({p}) exceeds the group-order budget")
         elements = _closure(gens, mul, identity, budget.max_group_order)
@@ -356,7 +356,7 @@ def psl3_3_points() -> ConcreteGroup:
 def _check_order(g: ConcreteGroup) -> None:
     if g.spec is None:
         return
-    expected = group_order(g.spec).value
+    expected = group_order(g.spec)
     if expected != g.order:
         raise RuntimeError(
             f"{g.name}: closure produced order {g.order}, symbolic order is {expected}"
@@ -583,16 +583,15 @@ def pi_subgroup_lattice(
     g: ConcreteGroup,
     pi: Sequence[int],
     budget: Budget = DEFAULT_BUDGET,
-    max_order: Optional[int] = None,
 ) -> Tuple[List[FrozenSet[Element]], bool]:
-    """The cyclic-seeded fixpoint: all pi-subgroups up to max_order.
+    """The cyclic-seeded fixpoint: all pi-subgroups of g.
 
     Returns (subgroups, exhaustive).  This is the expensive search; the
     Hall census above does not depend on it.
     """
     pi = tuple(sorted(set(pi)))
-    # a pi-subgroup of order dividing max_order has order dividing its pi-part
-    cap = pi_part(max_order if max_order is not None else g.order, pi)
+    # every pi-subgroup has order dividing |G|_pi
+    cap = pi_part(g.order, pi)
     # each cyclic seed <x> with its generator x; found maps to generators
     seeds: Dict[FrozenSet[Element], Element] = {}
     elems = _orders_dividing(g, cap)

@@ -21,7 +21,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from pihall.arith import (
     PrimeSet,
     epsilon,
-    factorize,
     is_prime,
     pi_part,
     prime_divisors,
@@ -47,6 +46,7 @@ from pihall.groups import (
     TWO_G2,
     GroupSpec,
     InvalidParameter,
+    _prime_power,
     format_group,
     order,
     validate,
@@ -153,12 +153,12 @@ def _report(
 
 
 def _hall_order(spec: GroupSpec, pi: PrimeSet) -> int:
-    return pi_part(order(spec).value, pi)
+    return pi_part(order(spec), pi)
 
 
 def _gpi(spec: GroupSpec, pi: PrimeSet) -> frozenset:
     """pi ∩ pi(G) by divisibility, without factoring |G|."""
-    g = order(spec).value
+    g = order(spec)
     return frozenset(p for p in pi if g % p == 0)
 
 
@@ -312,8 +312,7 @@ def classify_alt(n: int, pi: PrimeSet) -> HallReport:
 def _require_cross_char(q: int, pi: PrimeSet) -> None:
     if 2 not in pi or 3 not in pi:
         raise ScopeError("this classifier needs 2 and 3 in pi")
-    p = factorize(q).factors[0][0]
-    if p in pi:
+    if _prime_power(q)[0] in pi:
         raise ScopeError("this classifier needs the defining characteristic outside pi")
     if q % 2 == 0:
         raise ScopeError("base field must have odd order")
@@ -1036,7 +1035,7 @@ def classify_defining_char(spec: GroupSpec, pi: PrimeSet) -> HallReport:
         raise ScopeError("this classifier needs 2 and 3 in pi")
     gpi = _gpi(spec, pi)
     h = _hall_order(spec, pi)
-    g_order = order(spec).value
+    g_order = order(spec)
     q, n = spec.q, spec.n
 
     # flag-stabilizer patterns (linear groups only)
@@ -1147,7 +1146,7 @@ def classify(spec: GroupSpec, pi: PrimeSet) -> HallReport:
 def _dispatch(spec: GroupSpec, pi: PrimeSet) -> HallReport:
     gpi = _gpi(spec, pi)
     h = _hall_order(spec, pi)
-    g_order = order(spec).value
+    g_order = order(spec)
 
     if h == g_order:
         # pi ⊇ pi(G), so pi(G) = pi ∩ pi(G)

@@ -515,8 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound = sub.add_parser("kpi-bound", help="bounds for overgroup-induced Hall classes")
     p_bound.add_argument("--group", required=True)
     p_bound.add_argument("--pi", required=True)
-    p_bound.add_argument("--outer", choices=["trivial", "diagonal-and-field", "any"],
-                         default="any")
+    p_bound.add_argument("--outer", choices=["trivial", "any"], default="any")
     p_bound.add_argument("--format", choices=["json", "text"], default="text")
     p_bound.add_argument("--out")
     p_bound.set_defaults(func=cmd_kpi_bound)

@@ -4,7 +4,8 @@ A GroupSpec names a family plus parameters (degree/dimension n, field size
 q = p^a, sign eta, variant).  validate() enforces the parameter invariants
 and rewrites small classical groups along the exceptional isomorphisms so
 that downstream classifiers see one canonical family; order() produces the
-exact group order from its formula, factored only when asked.
+exact group order from its formula, and prime_spectrum() factors only the
+formula's cyclotomic pieces.
 """
 
 from __future__ import annotations
@@ -12,19 +13,15 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from pihall.arith import (
-    FactoredInt,
     PrimeSet,
     _cyclotomic_value,
-    divide_factored,
-    factor_q_pow_minus_1,
-    factor_q_pow_plus_1,
     factorize,
-    is_prime,
-    merge_factored,
+    is_prime,  # not called here; perfbench's tracer test reads groups.is_prime
+    prime_divisors,
 )
 
 ALT = "Alt"
@@ -388,29 +385,6 @@ class OrderFormula:
             raise ValueError(f"{self.divisor} does not divide {out}")
         return out // self.divisor
 
-    def factored(self) -> FactoredInt:
-        """The same product, factored through the cyclotomic pieces Phi_d(q)."""
-        q = self.q
-        p, a = _prime_power(q)
-        parts = [FactoredInt(q**self.q_exp, ((p, a * self.q_exp),) if self.q_exp else ())]
-        parts += [(factor_q_pow_minus_1 if s == 1 else factor_q_pow_plus_1)(q, i)
-                  for i, s in self.terms]
-        parts += [factorize(_cyclotomic_value(d, q)) for d in self.cyclotomic]
-        return divide_factored(merge_factored(parts), self.divisor)
-
-
-@dataclass(frozen=True)
-class GroupOrder:
-    """|G| as an integer; its factorization is computed on first access only."""
-
-    value: int
-    formula_tag: str
-    formula: Optional[OrderFormula] = field(default=None, compare=False)
-
-    @cached_property
-    def order(self) -> FactoredInt:
-        return factorize(self.value) if self.formula is None else self.formula.factored()
-
 
 # exceptional family -> (power of q, degrees i of the factors q^i - 1)
 _EXCEPTIONAL_DEGREES = {
@@ -421,65 +395,79 @@ _EXCEPTIONAL_DEGREES = {
 }
 
 
-def _lie_formula(spec: GroupSpec) -> Tuple[str, OrderFormula]:
+def _lie_formula(spec: GroupSpec) -> OrderFormula:
     f, n, q, eta = spec.family, spec.n, spec.q, spec.eta
     if f == LINEAR_UNITARY:
         terms = tuple((i, eta**i) for i in range(2, n + 1))
         if spec.variant == ISOMETRY:
-            return "sl", OrderFormula(q, n * (n - 1) // 2, terms)
+            return OrderFormula(q, n * (n - 1) // 2, terms)
         if spec.variant == GENERAL:
-            return "gl", OrderFormula(q, n * (n - 1) // 2, terms + ((1, eta),))
-        return "psl", OrderFormula(q, n * (n - 1) // 2, terms, math.gcd(n, q - eta))
+            return OrderFormula(q, n * (n - 1) // 2, terms + ((1, eta),))
+        return OrderFormula(q, n * (n - 1) // 2, terms, math.gcd(n, q - eta))
     if f == SYMPLECTIC:
         m = n // 2
         terms = tuple((2 * i, 1) for i in range(1, m + 1))
         if spec.variant == ISOMETRY:
-            return "sp", OrderFormula(q, m * m, terms)
-        return "psp", OrderFormula(q, m * m, terms, math.gcd(2, q - 1))
+            return OrderFormula(q, m * m, terms)
+        return OrderFormula(q, m * m, terms, math.gcd(2, q - 1))
     if f == ORTHOGONAL:
         m = n // 2
         if n % 2 == 1:
             # Omega has index 2 in SO for odd q; the simple group equals Omega
             terms = tuple((2 * i, 1) for i in range(1, m + 1))
-            return "omega-odd", OrderFormula(q, m * m, terms, 2)
+            return OrderFormula(q, m * m, terms, 2)
         terms = ((m, eta),) + tuple((2 * i, 1) for i in range(1, m))
         divisor = math.gcd(2, q - 1)
         if spec.variant == ISOMETRY or n <= 2:
-            return "omega-even", OrderFormula(q, m * (m - 1), terms, divisor)
+            return OrderFormula(q, m * (m - 1), terms, divisor)
         centre = math.gcd(4, q**m - eta) // divisor
-        return "pomega-even", OrderFormula(q, m * (m - 1), terms, divisor * max(centre, 1))
+        return OrderFormula(q, m * (m - 1), terms, divisor * max(centre, 1))
     if f in _EXCEPTIONAL_DEGREES:
         top, degrees = _EXCEPTIONAL_DEGREES[f]
         divisor = math.gcd(2, q - 1) if f == E7 else 1
-        return f.lower(), OrderFormula(q, top, tuple((i, 1) for i in degrees), divisor)
+        return OrderFormula(q, top, tuple((i, 1) for i in degrees), divisor)
     if f == E6:
         terms = tuple((i, 1) for i in (2, 6, 8, 12)) + ((5, eta), (9, eta))
-        return "e6", OrderFormula(q, 36, terms, math.gcd(3, q - eta))
+        return OrderFormula(q, 36, terms, math.gcd(3, q - eta))
     if f == TRI_D4:
-        return "3d4", OrderFormula(q, 12, ((6, 1), (2, 1)), cyclotomic=(3, 6, 12))
+        return OrderFormula(q, 12, ((6, 1), (2, 1)), cyclotomic=(3, 6, 12))
     if f == TWO_G2:
-        return "2g2", OrderFormula(q, 3, ((3, -1), (1, 1)))
+        return OrderFormula(q, 3, ((3, -1), (1, 1)))
     raise InvalidParameter("family", f"no order formula for {f!r}")
 
 
 @lru_cache(maxsize=None)
-def _order_cached(spec: GroupSpec) -> GroupOrder:
+def _order_cached(spec: GroupSpec) -> int:
     f, n = spec.family, spec.n
     if f == SYM:
-        return GroupOrder(math.factorial(n), "factorial")
+        return math.factorial(n)
     if f == ALT:
-        return GroupOrder(math.factorial(n) // 2, "factorial/2")
+        return math.factorial(n) // 2
     if f == SPORADIC:
-        return GroupOrder(SPORADIC_ORDERS[spec.sporadic_name], "sporadic-table")
-    tag, formula = _lie_formula(spec)
-    return GroupOrder(formula.value(), tag, formula)
+        return SPORADIC_ORDERS[spec.sporadic_name]
+    return _lie_formula(spec).value()
 
 
-def order(spec: GroupSpec) -> GroupOrder:
-    """Exact order of a validated spec: .value now, .order (factored) on demand."""
+def order(spec: GroupSpec) -> int:
+    """Exact order of a validated spec."""
     return _order_cached(spec)
 
 
 def prime_spectrum(spec: GroupSpec) -> PrimeSet:
-    """pi(G): the primes dividing |G|."""
-    return PrimeSet(order(spec).order.primes)
+    """pi(G): the primes dividing |G|.
+
+    For Lie type only p and the cyclotomic pieces Phi_d(q) of the formula are
+    factored: q^i - 1 is the product of Phi_d(q) over d | i, and q^i + 1 over
+    d | 2i with d ∤ i.
+    """
+    g = order(spec)
+    if spec.family not in LIE_FAMILIES:
+        return PrimeSet(prime_divisors(g))
+    formula = _lie_formula(spec)
+    pieces = set(formula.cyclotomic)
+    for i, s in formula.terms:
+        pieces.update(d for d in range(1, 2 * i + 1)
+                      if (i % d == 0 if s == 1 else 2 * i % d == 0 and i % d != 0))
+    primes = {spec.p}.union(*(prime_divisors(_cyclotomic_value(d, spec.q)) for d in pieces))
+    # the divisor can remove a prime of the product, so keep only those of |G|
+    return PrimeSet(r for r in primes if g % r == 0)

@@ -17,7 +17,7 @@ from pihall.bruteforce import (
 from pihall.classify import YES, classify, classify_orthogonal, classify_sl2
 from pihall.cli import DEFAULT_PI_LIST, check_sweep_invariants, default_grid_specs, parse_pi, run_sweep
 from pihall.extension import burnside_orbits, cyclic_perm, kpi_wreath_cyclic
-from pihall.groups import order, parse_group, validate
+from pihall.groups import order, parse_group, prime_spectrum, validate
 from pihall.structure import structure_order
 
 
@@ -170,7 +170,7 @@ def test_criterion_6_sporadic_table(capfd):
     assert r.k_pi == 1 and r.classes[0].structure == "2 x Alt(4)"
     for (name, gpi), rows in SPORADIC_HALL_TABLE.items():
         spec = validate(parse_group(name))
-        expected = pi_part(order(spec).order.value, gpi)
+        expected = pi_part(order(spec), gpi)
         for s in rows:
             assert structure_order(s) == expected, (name, gpi, s)
     elapsed = time.time() - t0
@@ -191,9 +191,7 @@ def test_criterion_7_class_number_sweep(capfd):
         assert r.spec.family == "Symplectic"
         n_half = r.spec.n // 2
         assert n_half in (5, 7)
-        gpi = frozenset(r.pi) & frozenset(
-            p for p, _ in order(r.spec).order.factors
-        )
+        gpi = frozenset(r.pi) & prime_spectrum(r.spec)
         q = r.spec.q
         if gpi == frozenset((2, 3)):
             assert pi_part(q * q - 1, (2, 3)) == 48

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from pihall.arith import (
     FactoredInt,
     PrimeSet,
+    _cyclotomic_value,
     e_star,
     epsilon,
-    factor_q_pow_minus_eta,
     factorize,
     r_part_product_closed_form,
     is_prime,
@@ -97,14 +97,14 @@ def test_epsilon_examples():
 
 
 def test_factorize_examples():
-    assert factorize(168).as_dict() == {2: 3, 3: 1, 7: 1}
-    assert factorize(1).as_dict() == {}
-    assert factorize(5040).as_dict() == {2: 4, 3: 2, 5: 1, 7: 1}
+    assert dict(factorize(168).factors) == {2: 3, 3: 1, 7: 1}
+    assert dict(factorize(1).factors) == {}
+    assert dict(factorize(5040).factors) == {2: 4, 3: 2, 5: 1, 7: 1}
 
 
 def test_factorize_large_semiprime():
     n = 1000003 * 1000033
-    assert factorize(n).as_dict() == {1000003: 1, 1000033: 1}
+    assert dict(factorize(n).factors) == {1000003: 1, 1000033: 1}
 
 
 def test_factored_int_invariants():
@@ -232,10 +232,15 @@ def test_product_is_termwise_product(q, r, n):
 
 
 def test_cyclotomic_factoring_matches_direct():
+    # q^n - 1 is the product of Phi_d(q) over d | n, and q^n + 1 over d | 2n, d ∤ n;
+    # prime_spectrum relies on both
     for q in (2, 3, 7, 13, 47):
         for n in (1, 2, 6, 12, 30):
-            assert factor_q_pow_minus_eta(q, n, 1).value == q**n - 1
-            assert factor_q_pow_minus_eta(q, n, -1).value == q**n - (-1) ** n
+            minus = [_cyclotomic_value(d, q) for d in range(1, n + 1) if n % d == 0]
+            plus = [_cyclotomic_value(d, q) for d in range(1, 2 * n + 1)
+                    if 2 * n % d == 0 and n % d != 0]
+            assert math.prod(minus) == q**n - 1
+            assert math.prod(plus) == q**n + 1
 
 
 # psi_12 and psi_13: the least strong pseudoprimes to the first 12 and 13

@@ -104,6 +104,14 @@ def test_kpi_bound(capsys):
     assert data["bound"] == [1, 9]
 
 
+def test_kpi_bound_rejects_removed_outer_choice(capsys):
+    # diagonal-and-field gave exactly what "any" gives and is no longer a choice
+    with pytest.raises(SystemExit) as exc:
+        main(["kpi-bound", "--group", "PSL(2,7)", "--pi", "2,3", "--outer", "diagonal-and-field"])
+    assert exc.value.code == EXIT_PARSE
+    assert "--outer" in capsys.readouterr().err
+
+
 def test_sweep_small_grid(capsys):
     code, out, _ = run_cli(
         ["sweep", "--group", "PSp(10,23)", "--group", "PSL(2,7)",

@@ -86,7 +86,7 @@ def test_hall_order_divides_group_order():
             vspec = validate(spec)
         except InvalidParameter:
             continue
-        total = order(vspec).order.value
+        total = order(vspec)
         for pi in PI_SETS[::3]:
             report = classify(vspec, PrimeSet(pi))
             assert total % report.hall_order == 0

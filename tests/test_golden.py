@@ -5,6 +5,7 @@ regenerate them (pihall classify ... --out tests/golden/<name>, or
 pihall verify --format json --out tests/golden/verify_default.json).
 """
 
+import hashlib
 import json
 import pathlib
 
@@ -38,6 +39,17 @@ def test_golden_bytes(name, args, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+# `pihall sweep | sha256sum`: the default 3,836-row CSV, kept as a hash, not as a 388 kB file
+DEFAULT_SWEEP_SHA256 = "c867bac8c290d5f306674244ed1c38895b7a18434d809df3f761c0d65d129742"
+
+
+def test_default_sweep_csv_hash(capsys):
+    code = main(["sweep"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEFAULT_SWEEP_SHA256
 
 
 def test_out_flag_matches_stdout(tmp_path, capsys):

@@ -28,7 +28,7 @@ from pihall.groups import (
 
 
 def order_of(text: str) -> int:
-    return order(validate(parse_group(text))).order.value
+    return order(validate(parse_group(text)))
 
 
 def test_order_examples():
@@ -135,7 +135,7 @@ def test_weyl_orders():
 
 
 def test_pi_part_of_group_orders_matches_closed_forms():
-    # |G|_pi computed from the factored order equals per-prime closed forms
+    # |G|_pi taken from the integer order equals per-prime closed forms
     from pihall.arith import r_part_q_pow_minus_eta
 
     for q in (5, 7, 9, 11, 13):
@@ -143,7 +143,7 @@ def test_pi_part_of_group_orders_matches_closed_forms():
             for eta in (1, -1):
                 val = order(
                     validate(GroupSpec("LinearUnitary", n=n, q=q, eta=eta, variant="isometry"))
-                ).order.value
+                )
                 for r in (2, 3, 5, 7, 11, 13):
                     if q % r == 0:
                         continue
@@ -192,7 +192,9 @@ def lie_specs(draw):
 @given(spec=lie_specs(), pi=st.sets(st.sampled_from(_PRIMES), min_size=1, max_size=6))
 @settings(max_examples=150, deadline=None)
 def test_order_value_matches_its_factorization(spec, pi):
-    o = order(spec)
-    assert o.value == o.order.value
+    g, spectrum = order(spec), prime_spectrum(spec)
+    # the spectrum is complete: its primes divide |G| and |G| is a spectrum-number
+    assert all(g % r == 0 for r in spectrum)
+    assert pi_part(g, spectrum) == g
     # the classifier's divisibility test agrees with the factored spectrum
     assert _gpi(spec, pi) == frozenset(pi) & prime_spectrum(spec)
