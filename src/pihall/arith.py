@@ -195,6 +195,8 @@ class PrimeSet(frozenset):
     """A finite set of distinct primes; the pi of a pi-Hall query."""
 
     def __new__(cls, primes: Iterable[int]) -> "PrimeSet":
+        if type(primes) is cls:
+            return primes  # immutable and already checked
         ps = frozenset(int(p) for p in primes)
         for p in ps:
             if not is_prime(p):

@@ -46,6 +46,7 @@ from pihall.groups import (
     TWO_G2,
     GroupSpec,
     InvalidParameter,
+    _lie_formula,
     _prime_power,
     format_group,
     order,
@@ -67,6 +68,16 @@ TAG_DEFINING = "2_3_in_pi_defining_characteristic"
 BOUND_NO_2 = (0, 1)
 BOUND_NO_3 = (0, 1, 2)
 BOUND_FULL = (0, 1, 2, 3, 4, 9)
+
+
+def _regime(pi: PrimeSet) -> Tuple[str, Tuple[int, ...]]:
+    """The scope tag of pi's regime and the k_pi bound proven in it.  With
+    2 and 3 in pi, the dispatcher then tells the defining characteristic apart."""
+    if 2 not in pi:
+        return TAG_NO_2, BOUND_NO_2
+    if 3 not in pi:
+        return TAG_NO_3, BOUND_NO_3
+    return TAG_FULL, BOUND_FULL
 
 
 class ScopeError(ValueError):
@@ -134,12 +145,11 @@ def _report(
     hall_order: Optional[int],
     notes: Sequence[str] = (),
     k_bound: Optional[Tuple[int, ...]] = None,
-    e_pi: Optional[str] = None,
 ) -> HallReport:
     classes = tuple(classes)
     if k_bound is not None:
         return HallReport(
-            spec, pi, e_pi or OUT_OF_SCOPE, classes, None, tuple(sorted(k_bound)),
+            spec, pi, OUT_OF_SCOPE, classes, None, tuple(sorted(k_bound)),
             OUT_OF_SCOPE, d_pi, scope_tag, hall_order, tuple(notes),
         )
     k = sum(c.class_count for c in classes)
@@ -170,24 +180,24 @@ def _gpi(spec: GroupSpec, pi: PrimeSet) -> frozenset:
 class SymHallCase:
     case: str  # 'a' | 'b' | 'c' | 'd'
     structure: str
-    hall_order: int
     orbit_count: int  # orbits of the Hall subgroup on the n points
 
 
 _SYM_D_STRUCTURE = {
-    3: ("Sym(3)", 6, 1),
-    4: ("Sym(4)", 24, 1),
-    5: ("Sym(4)", 24, 2),
-    7: ("Sym(3) x Sym(4)", 144, 2),
-    8: ("Sym(4) wr Sym(2)", 1152, 1),
+    3: ("Sym(3)", 1),
+    4: ("Sym(4)", 1),
+    5: ("Sym(4)", 2),
+    7: ("Sym(3) x Sym(4)", 2),
+    8: ("Sym(4) wr Sym(2)", 1),
 }
 
+# the case-d Hall subgroups of Alt(n): those of Sym(n) intersected with Alt(n)
 _ALT_D_STRUCTURE = {
-    3: ("Z(3)", 3, 1),
-    4: ("Alt(4)", 12, 1),
-    5: ("Alt(4)", 12, 2),
-    7: ("(Sym(3) x Sym(4)) cap Alt(7)", 72, 2),
-    8: ("(Sym(4) wr Sym(2)) cap Alt(8)", 576, 1),
+    3: "Z(3)",
+    4: "Alt(4)",
+    5: "Alt(4)",
+    7: "(Sym(3) x Sym(4)) cap Alt(7)",
+    8: "(Sym(4) wr Sym(2)) cap Alt(8)",
 }
 
 
@@ -222,22 +232,21 @@ def sym_hall_case(n: int, pi: PrimeSet) -> Optional[SymHallCase]:
     if n < 0:
         raise ValueError("n must be >= 0")
     if n <= 1:
-        return SymHallCase("a", "Z(1)", 1, max(n, 0))
+        return SymHallCase("a", "Z(1)", max(n, 0))
     primes_n = frozenset(p for p in range(2, n + 1) if is_prime(p))
     gpi = frozenset(pi) & primes_n
     if len(gpi) <= 1:
         if not gpi:
-            return SymHallCase("a", "Z(1)", 1, n)
+            return SymHallCase("a", "Z(1)", n)
         (rr,) = gpi
         e = r_part(math.factorial(n), rr)
-        return SymHallCase("a", _prime_power_structure(rr, e), e, _digit_sum(n, rr))
+        return SymHallCase("a", _prime_power_structure(rr, e), _digit_sum(n, rr))
     if primes_n <= frozenset(pi) and n >= 5:
-        return SymHallCase("c", f"Sym({n})", math.factorial(n), 1)
+        return SymHallCase("c", f"Sym({n})", 1)
     if n >= 7 and is_prime(n) and gpi == frozenset(prime_divisors(math.factorial(n - 1))):
-        return SymHallCase("b", f"Sym({n - 1})", math.factorial(n - 1), 2)
+        return SymHallCase("b", f"Sym({n - 1})", 2)
     if gpi == frozenset((2, 3)) and n in _SYM_D_STRUCTURE:
-        s, o, t = _SYM_D_STRUCTURE[n]
-        return SymHallCase("d", s, o, t)
+        return SymHallCase("d", *_SYM_D_STRUCTURE[n])
     return None
 
 
@@ -251,58 +260,39 @@ def _sym_alt_d_pi(case: Optional[SymHallCase], n: int) -> str:
     return NO
 
 
-def _pi_regime_tag(pi: PrimeSet) -> str:
-    if 2 not in pi:
-        return TAG_NO_2
-    if 3 not in pi:
-        return TAG_NO_3
-    return TAG_FULL
+def _classify_sym_alt(spec: GroupSpec, pi: PrimeSet) -> HallReport:
+    """Sym(n) and Alt(n) share sym_hall_case: a Hall subgroup of Alt(n) is
+    one of Sym(n) intersected with Alt(n), and its order is |Alt(n)|_pi."""
+    n = spec.n
+    case = sym_hall_case(n, pi)
+    h = _hall_order(spec, pi)
+    tag, _ = _regime(pi)
+    if case is None:
+        return _report(spec, pi, tag, [], NO, h)
+    gpi = _gpi(spec, pi)
+    structure = case.structure
+    if spec.family == ALT:
+        if case.case == "a":
+            structure = _prime_power_structure(min(gpi), h) if gpi else "Z(1)"
+        elif case.case == "d":
+            structure = _ALT_D_STRUCTURE[n]
+        else:
+            structure = structure.replace("Sym", "Alt")
+    conds = (
+        Condition(f"pi ∩ pi({spec.family}_n)", _fmt_set(gpi)),
+        Condition("case", case.case),
+    )
+    desc = HallClassDescriptor(f"{spec.family.lower()}.{case.case}", structure, h, 1, conds)
+    return _report(spec, pi, tag, [desc], _sym_alt_d_pi(case, n), h)
 
 
 def classify_sym(n: int, pi: PrimeSet) -> HallReport:
-    spec = validate(GroupSpec(SYM, n=n, variant=ISOMETRY))
-    case = sym_hall_case(n, pi)
-    h = _hall_order(spec, pi)
-    tag = _pi_regime_tag(pi)
-    if case is None:
-        return _report(spec, pi, tag, [], NO, h)
-    conds = (
-        Condition("pi ∩ pi(Sym_n)", _fmt_set(_gpi(spec, pi))),
-        Condition("case", case.case),
-    )
-    desc = HallClassDescriptor(
-        f"sym.{case.case}", case.structure, case.hall_order, 1, conds
-    )
-    return _report(spec, pi, tag, [desc], _sym_alt_d_pi(case, n), h)
+    return _classify_sym_alt(validate(GroupSpec(SYM, n=n, variant=ISOMETRY)), pi)
 
 
 def classify_alt(n: int, pi: PrimeSet) -> HallReport:
-    spec = validate(GroupSpec(ALT, n=n, variant=SIMPLE if n >= 5 else ISOMETRY))
-    case = sym_hall_case(n, pi)
-    h = _hall_order(spec, pi)
-    tag = _pi_regime_tag(pi)
-    if case is None:
-        return _report(spec, pi, tag, [], NO, h)
-    if case.case == "a":
-        gpi = _gpi(spec, pi)
-        if not gpi:
-            structure, so = "Z(1)", 1
-        else:
-            (rr,) = gpi
-            so = r_part(math.factorial(n) // 2, rr)
-            structure = _prime_power_structure(rr, so)
-    elif case.case == "b":
-        structure, so = f"Alt({n - 1})", math.factorial(n - 1) // 2
-    elif case.case == "c":
-        structure, so = f"Alt({n})", math.factorial(n) // 2
-    else:
-        structure, so, _ = _ALT_D_STRUCTURE[n]
-    conds = (
-        Condition("pi ∩ pi(Alt_n)", _fmt_set(_gpi(spec, pi))),
-        Condition("case", case.case),
-    )
-    desc = HallClassDescriptor(f"alt.{case.case}", structure, so, 1, conds)
-    return _report(spec, pi, tag, [desc], _sym_alt_d_pi(case, n), h)
+    variant = SIMPLE if n >= 5 else ISOMETRY
+    return _classify_sym_alt(validate(GroupSpec(ALT, n=n, variant=variant)), pi)
 
 
 # ---------------------------------------------------------------------------
@@ -423,14 +413,6 @@ def classify_gl2(q: int, eta: int, pi: PrimeSet) -> HallReport:
 # linear and unitary groups, n >= 3
 
 
-def _lu_r_part(q: int, eta: int, n: int, rr: int) -> int:
-    """r-part of |SL_n^eta(q)| for r coprime to q."""
-    out = 1
-    for i in range(2, n + 1):
-        out *= r_part(q**i - eta**i, rr)
-    return out
-
-
 def classify_linear_unitary(
     n: int, q: int, eta: int, pi: PrimeSet, variant: str = SIMPLE
 ) -> HallReport:
@@ -460,7 +442,7 @@ def classify_linear_unitary(
             return None
         checked = []
         for rr in sorted((frozenset(pi) & primes_n_fact) - pi_q_minus_eta):
-            g_r = _lu_r_part(q, eta, n, rr)
+            g_r = r_part(order(replace(spec, variant=ISOMETRY)), rr)  # |SL_n^eta(q)|_r
             s_r = r_part(math.factorial(n), rr)
             checked.append(Condition(f"|G|_{rr} vs |Sym_n|_{rr}", f"{g_r} vs {s_r}"))
             if g_r != s_r:
@@ -478,7 +460,7 @@ def classify_linear_unitary(
             h, 1, conds,
         )
 
-    def stmt_c(class_count_override: Optional[int] = None) -> Optional[HallClassDescriptor]:
+    def stmt_c() -> Optional[HallClassDescriptor]:
         m, k1 = n // 2, n % 2
         if (q + eta) % 3 != 0:
             return None
@@ -491,8 +473,6 @@ def classify_linear_unitary(
         if sym is None:
             return None
         count = gl.k_pi ** sym.orbit_count
-        if class_count_override is not None:
-            count = class_count_override
         conds = (
             Condition("q = -eta (mod 3)", f"q+eta = {q + eta}"),
             Condition("pi ∩ pi(G)", _fmt_set(gpi)),
@@ -551,9 +531,9 @@ def classify_linear_unitary(
                 h, 1, conds,
             )
         )
-        ce = stmt_c(class_count_override=2)
+        ce = stmt_c()
         if ce is not None:
-            classes.append(ce)
+            classes.append(replace(ce, class_count=2))
         notes.append(
             "with the n=11 mixed decomposition present, the diagonal-block family "
             "contributes exactly two classes (asserted total k=3)"
@@ -916,6 +896,8 @@ def classify_sporadic(name: str, pi: PrimeSet) -> HallReport:
     spec = validate(GroupSpec(SPORADIC, sporadic_name=name))
     gpi = _gpi(spec, pi)
     h = _hall_order(spec, pi)
+    # every sporadic order is divisible by 2 and 3, so pi's regime is gpi's
+    tag, bound = _regime(pi)
     rows = SPORADIC_HALL_TABLE.get((spec.sporadic_name, frozenset(gpi)))
     if rows:
         classes = tuple(
@@ -925,31 +907,27 @@ def classify_sporadic(name: str, pi: PrimeSet) -> HallReport:
             )
             for i, s in enumerate(rows)
         )
-        tag = TAG_FULL if {2, 3} <= gpi else TAG_NO_3
         return _report(spec, pi, tag, classes, OUT_OF_SCOPE, h)
-    if {2, 3} <= gpi:
+    if tag == TAG_FULL:
         # the table of proper Hall subgroups with 2,3 in pi is complete
-        return _report(spec, pi, TAG_FULL, [], NO, h,
+        return _report(spec, pi, tag, [], NO, h,
                        notes=("no proper pi-Hall subgroup with 2,3 in pi",))
-    if 2 not in pi:
-        return _report(spec, pi, TAG_NO_2, [], OUT_OF_SCOPE, h,
-                       k_bound=BOUND_NO_2,
-                       notes=("odd-order Hall existence lives in the cited classification",))
-    return _report(spec, pi, TAG_NO_3, [], OUT_OF_SCOPE, h,
-                   k_bound=BOUND_NO_3,
-                   notes=("existence criteria live in the cited classification",))
+    note = ("odd-order Hall existence lives" if tag == TAG_NO_2 else "existence criteria live")
+    return _report(spec, pi, tag, [], OUT_OF_SCOPE, h, k_bound=bound,
+                   notes=(f"{note} in the cited classification",))
 
 
 # ---------------------------------------------------------------------------
 # defining characteristic
 
-# n -> [(shape, class count)] of proper-parabolic Hall candidates in PSL_n(q)
-_FLAG_SHAPES: Dict[int, Tuple[Tuple[Tuple[int, ...], int], ...]] = {
-    4: (((2, 2), 1),),
-    5: (((1, 4), 2), ((2, 3), 2), ((1, 2, 2), 3)),
-    7: (((1, 6), 2), ((3, 4), 2)),
-    8: (((4, 4), 1),),
-    11: (((1, 10), 2), ((5, 6), 2)),
+# n -> dimension profiles of proper-parabolic Hall candidates in PSL_n(q);
+# each ordering of a profile gives one class
+_FLAG_SHAPES: Dict[int, Tuple[Tuple[int, ...], ...]] = {
+    4: ((2, 2),),
+    5: ((1, 4), (2, 3), (1, 2, 2)),
+    7: ((1, 6), (3, 4)),
+    8: ((4, 4),),
+    11: ((1, 10), (5, 6)),
 }
 
 
@@ -957,7 +935,7 @@ def _flag_shapes_for(n: int):
     if n in _FLAG_SHAPES:
         return _FLAG_SHAPES[n]
     if is_prime(n) and n % 2 == 1:
-        return (((1, n - 1), 2),)
+        return ((1, n - 1),)
     return ()
 
 
@@ -977,51 +955,15 @@ def _gaussian_multinomial(q: int, parts: Tuple[int, ...]) -> int:
     return num // den
 
 
-# family -> (number of positive roots N, rank r) for the split-torus Borel
-_BOREL_DATA = {
-    G2: (6, 2),
-    F4: (24, 4),
-    E7: (63, 7),
-    E8: (120, 8),
-}
-
-
 def _borel_pi_part(spec: GroupSpec, pi: PrimeSet) -> Optional[int]:
-    """pi-part of a Borel subgroup order, for untwisted families only."""
-    q, n = spec.q, spec.n
-    f = spec.family
-    if f == LINEAR_UNITARY and spec.eta == 1:
-        t = (q - 1) ** (n - 1)
-        if spec.variant == SIMPLE:
-            t //= math.gcd(n, q - 1)
-        npos = n * (n - 1) // 2
-    elif f == SYMPLECTIC:
-        m = n // 2
-        t = (q - 1) ** m
-        if spec.variant == SIMPLE:
-            t //= math.gcd(2, q - 1)
-        npos = m * m
-    elif f == ORTHOGONAL and n % 2 == 1:
-        m = (n - 1) // 2
-        t = (q - 1) ** m // math.gcd(2, q - 1)
-        npos = m * m
-    elif f == ORTHOGONAL and spec.eta == 1:
-        m = n // 2
-        t = (q - 1) ** m // math.gcd(2, q - 1)
-        if spec.variant == SIMPLE:
-            t //= math.gcd(4, q**m - 1) // math.gcd(2, q - 1)
-        npos = m * (m - 1)
-    elif f == E6 and spec.eta == 1:
-        t = (q - 1) ** 6 // math.gcd(3, q - 1)
-        npos = 36
-    elif f in _BOREL_DATA:
-        npos, rank = _BOREL_DATA[f]
-        t = (q - 1) ** rank
-        if f == E7:
-            t //= math.gcd(2, q - 1)
-    else:
+    """pi-part of |B| = q^N (q-1)^r / d, read off an order formula
+    q^N prod(q^i - 1) / d with r factors; None when a factor is q^i + 1 or
+    cyclotomic (a twisted group, whose Borel is not of this shape)."""
+    formula = _lie_formula(spec)
+    if formula.cyclotomic or any(s != 1 for _, s in formula.terms):
         return None
-    return q**npos * pi_part(t, pi)
+    q = formula.q
+    return q**formula.q_exp * pi_part((q - 1) ** len(formula.terms) // formula.divisor, pi)
 
 
 def classify_defining_char(spec: GroupSpec, pi: PrimeSet) -> HallReport:
@@ -1040,18 +982,16 @@ def classify_defining_char(spec: GroupSpec, pi: PrimeSet) -> HallReport:
 
     # flag-stabilizer patterns (linear groups only)
     if spec.family == LINEAR_UNITARY and spec.eta == 1 and spec.variant != GENERAL:
-        for shape, k_count in _flag_shapes_for(n):
+        for shape in _flag_shapes_for(n):
             flags = _gaussian_multinomial(q, shape)
             if g_order % flags != 0:
                 continue
             h_order = g_order // flags
             if pi_part(flags, pi) == 1 and pi_part(h_order, pi) == h_order:
-                comps = sorted(set(permutations(shape)))
-                assert len(comps) == k_count
                 desc = HallClassDescriptor(
                     f"defining.flag{shape}",
                     f"Hall(flag stabilizer of type {shape})",
-                    h_order, k_count,
+                    h_order, len(set(permutations(shape))),
                     (Condition("flag count", str(flags)),
                      Condition("pi(stabilizer)", _fmt_set(r for r in pi if h_order % r == 0)),
                      Condition("pi ∩ pi(S)", _fmt_set(gpi))),
@@ -1071,7 +1011,7 @@ def classify_defining_char(spec: GroupSpec, pi: PrimeSet) -> HallReport:
             return _report(spec, pi, TAG_DEFINING, [desc], OUT_OF_SCOPE, h)
         return _report(
             spec, pi, TAG_DEFINING, [], OUT_OF_SCOPE, h,
-            k_bound=BOUND_FULL, e_pi=OUT_OF_SCOPE,
+            k_bound=BOUND_FULL,
             notes=("Borel-type pattern matched but existence is not settled here",),
         )
 
@@ -1093,7 +1033,7 @@ def classify_defining_char(spec: GroupSpec, pi: PrimeSet) -> HallReport:
 
     return _report(
         spec, pi, TAG_DEFINING, [], OUT_OF_SCOPE, h,
-        k_bound=BOUND_FULL, e_pi=OUT_OF_SCOPE,
+        k_bound=BOUND_FULL,
         notes=("no defining-characteristic pattern matched; criteria live in cited works",),
     )
 
@@ -1154,7 +1094,7 @@ def _dispatch(spec: GroupSpec, pi: PrimeSet) -> HallReport:
             "trivial.whole_group", format_group(spec), g_order, 1,
             (Condition("pi ⊇ pi(G)", _fmt_set(gpi)),),
         )
-        return HallReport(spec, pi, YES, (desc,), 1, None, YES, YES, TAG_COVER, h)
+        return _report(spec, pi, TAG_COVER, [desc], YES, h)
     if len(gpi) <= 1:
         if not gpi:
             desc = HallClassDescriptor(
@@ -1167,33 +1107,25 @@ def _dispatch(spec: GroupSpec, pi: PrimeSet) -> HallReport:
                 "trivial.sylow", _prime_power_structure(rr, h), h, 1,
                 (Condition("pi ∩ pi(G)", _fmt_set(gpi)),),
             )
-        return HallReport(spec, pi, YES, (desc,), 1, None, YES, YES, TAG_SMALL, h)
+        return _report(spec, pi, TAG_SMALL, [desc], YES, h)
 
     # the symmetric/alternating classification is complete for every pi,
     # and the sporadic module answers its own bound regimes
-    if spec.family == SYM:
-        return classify_sym(spec.n, pi)
-    if spec.family == ALT:
-        return classify_alt(spec.n, pi)
+    if spec.family in (SYM, ALT):
+        return _classify_sym_alt(spec, pi)
     if spec.family == SPORADIC:
         return classify_sporadic(spec.sporadic_name, pi)
 
-    if 2 not in pi:
-        return _report(
-            spec, pi, TAG_NO_2, [], OUT_OF_SCOPE, h, k_bound=BOUND_NO_2,
-            notes=("odd pi: Hall subgroups are conjugate when they exist; "
-                   "existence criteria live in the cited classification",),
-        )
-    if 3 not in pi:
-        if spec.family == TWO_G2:
-            special = _classify_small_ree(spec, pi)
-            if special is not None:
-                return special
-        return _report(
-            spec, pi, TAG_NO_3, [], OUT_OF_SCOPE, h, k_bound=BOUND_NO_3,
-            notes=("2 in pi, 3 outside pi: existence criteria live in the cited "
-                   "classification",),
-        )
+    tag, bound = _regime(pi)
+    if tag == TAG_NO_3 and spec.family == TWO_G2:
+        special = _classify_small_ree(spec, pi)
+        if special is not None:
+            return special
+    if tag != TAG_FULL:
+        head = ("odd pi: Hall subgroups are conjugate when they exist;"
+                if tag == TAG_NO_2 else "2 in pi, 3 outside pi:")
+        return _report(spec, pi, tag, [], OUT_OF_SCOPE, h, k_bound=bound,
+                       notes=(f"{head} existence criteria live in the cited classification",))
 
     if spec.p in pi:
         return classify_defining_char(spec, pi)
@@ -1234,13 +1166,7 @@ def kpi_bound_almost_simple(
             return InducedBound((report.k_pi,), report.k_pi, "socle classification")
         return InducedBound(report.k_bound, None, "socle bound")
 
-    if 2 not in pi:
-        bound = BOUND_NO_2
-    elif 3 not in pi:
-        bound = BOUND_NO_3
-    else:
-        bound = BOUND_FULL
-
+    _, bound = _regime(pi)
     if spec.family == ALT:
         if report.k_pi is not None:
             return InducedBound(

@@ -507,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_wreath = sub.add_parser("wreath", help="class count under a cyclic wreath top")
-    p_wreath.add_argument("--k", type=int, required=True)
+    p_wreath.add_argument("--k", type=_positive_int, required=True)
     p_wreath.add_argument("--p", type=int, required=True)
     p_wreath.add_argument("--out")
     p_wreath.set_defaults(func=cmd_wreath)

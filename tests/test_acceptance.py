@@ -218,6 +218,7 @@ ISO_PAIRS = [
     ("O-(4,{q})", "PSL(2,{qq})", (3, 5, 7, 9, 11, 13), 1),
     ("O+(6,{q})", "SL(4,{q})", (3, 5, 7, 9, 11, 13), 2),
     ("O-(6,{q})", "SU(4,{q})", (3, 5, 7, 9, 11, 13), 2),
+    ("PSU(2,{q})", "PSL(2,{q})", (4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64), 1),
 ]
 
 PI_SUBSETS = [(2,), (3,), (5,), (2, 3), (2, 5), (3, 5), (2, 3, 5)]
@@ -242,7 +243,7 @@ def test_criterion_8_isomorphism_consistency(capfd):
                 compared += 1
     elapsed = time.time() - t0
     assert elapsed < 10.0
-    _ok(capfd, 8, elapsed, f"{compared} comparisons across the four isomorphism pairs agree")
+    _ok(capfd, 8, elapsed, f"{compared} comparisons across the {len(ISO_PAIRS)} isomorphism pairs agree")
 
 
 def test_criterion_9_dpi_refutation_witnesses(capfd):

@@ -117,6 +117,7 @@ def test_factored_int_invariants():
 def test_prime_set():
     ps = PrimeSet([5, 2, 3])
     assert ps.sorted == (2, 3, 5)
+    assert PrimeSet(ps) is ps  # already checked: not rebuilt
     with pytest.raises(ValueError):
         PrimeSet([4])
 

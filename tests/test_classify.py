@@ -483,6 +483,41 @@ def test_borel_index_identity():
         assert total // b == expected_index, text
 
 
+def test_borel_pi_part_matches_textbook_orders():
+    # a split group's Borel has order q^N (q-1)^r / |Z|: N positive roots,
+    # rank r (r + 1 for GL2), and the centre Z of the simply connected cover
+    # divided out in the simple group; twisted groups have no Borel of this shape
+    from pihall.classify import _borel_pi_part
+
+    cases = [
+        ("PSL(2,7)", 7 * 6 // 2),
+        ("PSL(3,4)", 4**3 * 3**2 // 3),
+        ("SL(3,5)", 5**3 * 4**2),
+        ("GL(2,4)", 4 * 3**2),
+        ("GL(2,7)", 7 * 6**2),
+        ("SL(2,4,-)", 4 * 3),  # SU(2,q) = SL(2,q)
+        ("PSp(4,3)", 3**4 * 2**2 // 2),
+        ("Sp(6,5)", 5**9 * 4**3),
+        ("O(7,3)", 3**9 * 2**3 // 2),
+        ("O+(8,3)", 3**12 * 2**4 // 2),
+        ("PO+(8,3)", 3**12 * 2**4 // 4),
+        ("G2(3)", 3**6 * 2**2),
+        ("E6(4)", 4**36 * 3**6 // 3),
+        ("E8(3)", 3**120 * 2**8),
+    ]
+    for text, borel in cases:
+        spec = validate(parse_group(text))
+        assert _borel_pi_part(spec, prime_spectrum(spec)) == borel, text
+    # (16 - 1)^2 = 225 has {2,3}-part 9
+    assert _borel_pi_part(validate(parse_group("GL(2,16)")), P23) == 16 * 9
+    for text in ("PSL(3,4,-)", "GL(2,5,-)", "O-(8,3)", "E6(4,-)", "3D4(2)", "2G2(27)"):
+        assert _borel_pi_part(validate(parse_group(text)), P235) is None, text
+
+    r = rep("GL(2,4)", (2, 3))
+    assert (r.scope_tag, r.k_pi, r.hall_order) == (TAG_DEFINING, 1, 36)
+    assert r.classes[0].case_id == "defining.borel"
+
+
 # --------------------------------------------------------------------------
 # small Ree groups
 

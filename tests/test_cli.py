@@ -208,6 +208,14 @@ def test_verify_rejects_budget_below_one(budget, capsys):
     assert "--budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_wreath_rejects_k_below_one(k, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["wreath", "--k", k, "--p", "3"])
+    assert exc.value.code == EXIT_PARSE
+    assert "--k" in capsys.readouterr().err
+
+
 def test_verify_budget_that_suffices(capsys):
     code, out, _ = run_cli(["verify", "--instance", "Sym(5):2,3", "--budget", "1000"], capsys)
     assert code == EXIT_OK and out.startswith("[PASS] Sym(5):2,3")

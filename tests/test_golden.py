@@ -11,7 +11,15 @@ import pathlib
 
 import pytest
 
-from pihall.cli import main
+from pihall.cli import (
+    DEFAULT_PI_LIST,
+    default_grid_specs,
+    main,
+    parse_pi,
+    render_json,
+    report_to_dict,
+    run_sweep,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -42,7 +50,7 @@ def test_golden_bytes(name, args, capsys):
 
 
 # `pihall sweep | sha256sum`: the default 3,836-row CSV, kept as a hash, not as a 388 kB file
-DEFAULT_SWEEP_SHA256 = "c867bac8c290d5f306674244ed1c38895b7a18434d809df3f761c0d65d129742"
+DEFAULT_SWEEP_SHA256 = "fbf94e036f3adbdb40a63b41d5fa3958e7a9f4147672214e795e8ec2a77dec51"
 
 
 def test_default_sweep_csv_hash(capsys):
@@ -50,6 +58,17 @@ def test_default_sweep_csv_hash(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEFAULT_SWEEP_SHA256
+
+
+# every default sweep report as JSON, concatenated: pins each condition, structure
+# and note, which the CSV's columns leave out
+DEFAULT_SWEEP_REPORTS_SHA256 = "9da7293cb2d4afd4e5030dab78d58a7a9846449858379538d8dce9e54dd53e12"
+
+
+def test_default_sweep_reports_hash():
+    reports, _ = run_sweep(default_grid_specs(), [parse_pi(t) for t in DEFAULT_PI_LIST])
+    text = "".join(render_json(report_to_dict(r)) for r in reports)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DEFAULT_SWEEP_REPORTS_SHA256
 
 
 def test_out_flag_matches_stdout(tmp_path, capsys):
