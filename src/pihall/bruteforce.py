@@ -10,7 +10,10 @@ each conjugacy class of Hall subgroups has a representative above the
 chosen Sylow 2-subgroup (for even hall orders), and the complete Hall
 list is recovered as the union of conjugation orbits.  The cyclic-seeded
 fixpoint over the whole pi-subgroup lattice is kept as a separate mode
-for counterexample searches; it is the part that may hit its budget.
+for counterexample searches; it joins from one subgroup per conjugacy
+class and takes the rest of each class by conjugation.  Both searches
+take conjugates under g.generators only, so they assume those elements
+generate g.
 """
 
 from __future__ import annotations
@@ -74,15 +77,23 @@ class ConcreteGroup:
         return len(self.elements)
 
     def element_order(self, x: Element) -> int:
-        cached = self._orders.get(x)
-        if cached is not None:
+        """The order of x, cached for every power of x by one walk x, x^2, ..., 1.
+
+        x^i has order n / gcd(i, n).  The cache starts with every element as
+        a key, so storing a power keeps the canonical tuple, not the walk's.
+        """
+        orders = self._orders
+        if not orders:
+            orders = self._orders = dict.fromkeys(self.elements, 0)
+        cached = orders.get(x)
+        if cached:
             return cached
-        y = x
-        n = 1
-        while y != self.identity:
-            y = self.mul(y, x)
-            n += 1
-        self._orders[x] = n
+        powers = [x]
+        while powers[-1] != self.identity:
+            powers.append(self.mul(powers[-1], x))
+        n = len(powers)
+        for i, y in enumerate(powers, 1):
+            orders[y] = n // math.gcd(i, n)
         return n
 
     def inverse(self, x: Element) -> Element:
@@ -452,6 +463,30 @@ def _generator_witness(
     return tuple(members)  # give up: the full set generates itself
 
 
+def _conjugacy_orbit(
+    g: ConcreteGroup, seed: FrozenSet[Element], witness: Tuple[Element, ...]
+) -> Dict[FrozenSet[Element], Tuple[Element, ...]]:
+    """The conjugates of seed, each with witness conjugated along with it.
+
+    A breadth-first search under conjugation by g.generators, which must
+    generate g: the orbit under the generators is then the orbit under g.
+    """
+    orbit = {seed: witness}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            wit = orbit[sub]
+            for gen in g.generators:
+                image = g.conjugate_set(sub, gen)
+                if image not in orbit:
+                    ginv = g.inverse(gen)
+                    orbit[image] = tuple(g.mul(g.mul(ginv, w), gen) for w in wit)
+                    nxt.append(image)
+        frontier = nxt
+    return orbit
+
+
 def conjugacy_classes_of_subgroups(
     g: ConcreteGroup, witnesses: Mapping[FrozenSet[Element], Tuple[Element, ...]]
 ) -> List[List[SubgroupHandle]]:
@@ -465,19 +500,7 @@ def conjugacy_classes_of_subgroups(
     for seed in sorted(witnesses, key=sorted):
         if seed in done:
             continue
-        orbit: Dict[FrozenSet[Element], Tuple[Element, ...]] = {seed: witnesses[seed]}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for sub in frontier:
-                wit = orbit[sub]
-                for gen in g.generators:
-                    image = g.conjugate_set(sub, gen)
-                    if image not in orbit:
-                        ginv = g.inverse(gen)
-                        orbit[image] = tuple(g.mul(g.mul(ginv, w), gen) for w in wit)
-                        nxt.append(image)
-            frontier = nxt
+        orbit = _conjugacy_orbit(g, seed, witnesses[seed])
         done.update(orbit)
         classes.append([SubgroupHandle(s, orbit[s]) for s in sorted(orbit, key=sorted)])
     return sorted(classes, key=lambda cls: sorted(cls[0].elements))
@@ -586,7 +609,12 @@ def pi_subgroup_lattice(
 ) -> Tuple[List[FrozenSet[Element]], bool]:
     """The cyclic-seeded fixpoint: all pi-subgroups of g.
 
-    Returns (subgroups, exhaustive).  This is the expensive search; the
+    Returns (subgroups, exhaustive).  Joins start from one subgroup per
+    conjugacy class: each is joined with every cyclic seed <x>, and a new
+    join adds its whole conjugacy orbit but only itself to the frontier.
+    Nothing is lost, since the seeds are closed under conjugation and
+    <H^c, x> = <H, x^(c^-1)>^c.  Budget.max_closure_steps counts the joins
+    tried from these representatives.  This is the expensive search; the
     Hall census above does not depend on it.
     """
     pi = tuple(sorted(set(pi)))
@@ -598,11 +626,12 @@ def pi_subgroup_lattice(
     admissible = frozenset(elems)
     for x in elems:  # <x> has order dividing cap
         seeds.setdefault(subgroup_closure(g, [x], cap), x)
-    found: Dict[FrozenSet[Element], Tuple[Element, ...]] = {
-        sub: (x,) for sub, x in seeds.items()
-    }
-    found.setdefault(frozenset({g.identity}), ())
-    frontier = list(found)
+    found: Dict[FrozenSet[Element], Tuple[Element, ...]] = {}
+    frontier = []
+    for sub, x in seeds.items():
+        if sub not in found:
+            found.update(_conjugacy_orbit(g, sub, (x,)))
+            frontier.append(sub)
     steps = 0
     while frontier:
         nxt = []
@@ -613,14 +642,15 @@ def pi_subgroup_lattice(
                 steps += 1
                 if steps > budget.max_closure_steps:
                     return list(found), False
+                # a join of admissible elements is a pi-subgroup: by Cauchy
+                # and Lagrange its order divides cap
                 join = subgroup_closure(g, [x], cap + 1, current, found[current], admissible)
                 if join is None or join in found:
                     continue
-                if cap % len(join) == 0:
-                    found[join] = found[current] + (x,)
-                    nxt.append(join)
-                    if len(found) > budget.max_subgroups:
-                        return list(found), False
+                found.update(_conjugacy_orbit(g, join, found[current] + (x,)))
+                nxt.append(join)
+                if len(found) > budget.max_subgroups:
+                    return list(found), False
         frontier = nxt
     return list(found), True
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pihall.bruteforce as bruteforce
 from pihall.arith import PrimeSet, is_pi_number, pi_part
 from pihall.bruteforce import (
     Budget,
@@ -12,6 +13,7 @@ from pihall.bruteforce import (
     ConcreteGroup,
     NonPrimeField,
     _closure,
+    _orders_dividing,
     _perm_mul,
     _scalar_canonical,
     build_group,
@@ -19,6 +21,7 @@ from pihall.bruteforce import (
     conjugacy_class_count,
     find_dpi_counterexample,
     find_hall_subgroups,
+    pi_subgroup_lattice,
     psl3_3_points,
     subgroup_closure,
     sylow_subgroup,
@@ -296,3 +299,83 @@ def test_scalar_canonical_is_least_multiple(p):
         for x in product(range(p), repeat=4):
             if any(x):
                 assert canon(x) == min(tuple(s * v % p for v in x) for s in scalars)
+
+
+@st.composite
+def group_elements(draw):
+    g = _small_group(*draw(st.sampled_from(
+        [("SYM", n) for n in range(3, 8)]
+        + [(kind, p) for kind in ("SL2", "PSL2", "GL2", "PGL2") for p in (3, 5, 7, 11, 13)
+           if (kind, p) != ("PSL2", 3)])))
+    return g, draw(st.lists(st.sampled_from(g.elements), min_size=1, max_size=8))
+
+
+@given(group_elements())
+@settings(max_examples=200, deadline=None)
+def test_element_order_matches_power_count(case):
+    # the orders a power walk caches for x^i are read back by later queries
+    g, xs = case
+    for x in xs:
+        y, n = x, 1
+        while y != g.identity:
+            y, n = g.mul(y, x), n + 1
+        assert g.element_order(x) == n
+
+
+def _reference_lattice(g, pi):
+    """The per-subgroup join fixpoint: every stored subgroup joined with every cyclic seed."""
+    cap = pi_part(g.order, pi)
+    elems = _orders_dividing(g, cap)
+    admissible = frozenset(elems)
+    seeds = {}
+    for x in elems:
+        seeds.setdefault(subgroup_closure(g, [x], cap), x)
+    found = {sub: (x,) for sub, x in seeds.items()}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for current in frontier:
+            for seed, x in seeds.items():
+                if seed <= current:
+                    continue
+                join = subgroup_closure(g, [x], cap + 1, current, found[current], admissible)
+                if join is not None and join not in found:
+                    found[join] = found[current] + (x,)
+                    nxt.append(join)
+        frontier = nxt
+    return set(found)
+
+
+@pytest.mark.parametrize("kind,param,pi", [
+    ("SL2", 5, (2, 3)), ("SL2", 11, (2, 3)), ("SL2", 13, (2, 3)), ("PSL2", 7, (2, 3)),
+    ("PSL2", 11, (2, 3, 5)), ("SYM", 4, (2, 3)), ("SYM", 5, (2, 3)), ("ALT", 6, (2, 3)),
+    ("GL2", 5, (2, 3)), ("PGL2", 7, (2, 3)),
+])
+def test_lattice_from_class_representatives_matches_reference(kind, param, pi, monkeypatch):
+    g = build_group(kind, param)
+    lattice, exhaustive = pi_subgroup_lattice(g, pi)
+    reference = _reference_lattice(g, pi)
+    assert exhaustive is True
+    assert len(lattice) == len(set(lattice)) and set(lattice) == reference
+    census = find_hall_subgroups(g, pi)
+    got = find_dpi_counterexample(g, pi, census)
+    monkeypatch.setattr(bruteforce, "pi_subgroup_lattice",
+                        lambda *args: (list(reference), True))
+    assert got.per_class == find_dpi_counterexample(g, pi, census).per_class
+
+
+def test_lattice_budget_never_passes_a_partial_set():
+    g = build_group("SL2", 5)
+    full = set(pi_subgroup_lattice(g, (2, 3))[0])
+    budgets = [Budget(max_closure_steps=n) for n in range(0, 400, 5)]
+    budgets += [Budget(max_subgroups=n) for n in range(0, len(full) + 2)]
+    outcomes = []
+    for budget in budgets:
+        lattice, exhaustive = pi_subgroup_lattice(g, (2, 3), budget)
+        assert not exhaustive or set(lattice) == full
+        outcomes.append(exhaustive)
+    # tight budgets cut the search short, and ample ones let it finish
+    for tight in (Budget(max_closure_steps=1), Budget(max_closure_steps=10),
+                  Budget(max_subgroups=10), Budget(max_subgroups=len(full) - 1)):
+        assert pi_subgroup_lattice(g, (2, 3), tight)[1] is False
+    assert outcomes[-1] is True and outcomes[len(range(0, 400, 5)) - 1] is True
