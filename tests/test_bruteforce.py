@@ -304,7 +304,7 @@ def test_scalar_canonical_is_least_multiple(p):
 @st.composite
 def group_elements(draw):
     g = _small_group(*draw(st.sampled_from(
-        [("SYM", n) for n in range(3, 8)]
+        [("SYM", n) for n in range(3, 8)] + [("SL2", 2)]
         + [(kind, p) for kind in ("SL2", "PSL2", "GL2", "PGL2") for p in (3, 5, 7, 11, 13)
            if (kind, p) != ("PSL2", 3)])))
     return g, draw(st.lists(st.sampled_from(g.elements), min_size=1, max_size=8))
