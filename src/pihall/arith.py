@@ -1,9 +1,11 @@
 """Exact number-theoretic kernels.
 
-Everything here is plain integer arithmetic: r-parts and pi-parts of
-integers, multiplicative orders, the closed forms for the r-part of
-q^n - 1 and q^n - eta^n, and the factorial-domination inequality that
-controls when symmetric-group tops can absorb extra primes.
+Everything here is plain integer arithmetic: Baillie-PSW primality,
+factorization (trial division, then Pollard rho, cached per integer),
+prime sets, r-parts and pi-parts of integers, epsilon(q) and cyclotomic
+values Phi_d(q).  The closed forms for the r-part of q^n - 1 and
+q^n - eta^n, with the multiplicative order they rest on, are kept as an
+independent reference for |G|_r in the tests.
 
 All functions are pure and use arbitrary-precision ints throughout.
 """
@@ -287,75 +289,6 @@ def r_part_q_pow_minus_eta(q: int, n: int, r: int, eta: int) -> int:
     if n % es == 0:
         return r_part(q**es - (-1) ** es, r) * r_part(n // es, r)
     return 2 if r == 2 else 1
-
-
-def three_part_q_pow_minus_eta(q: int, n: int, eta: int) -> int:
-    """(q^n - eta^n)_3, specialized by the residue of q mod 3."""
-    if math.gcd(q, 3) != 1:
-        raise ValueError("q must be coprime to 3")
-    if q % 3 == eta % 3:
-        return r_part(q - eta, 3) * r_part(n, 3)
-    if n % 2 == 0:
-        return r_part(q + eta, 3) * r_part(n // 2, 3)
-    return 1
-
-
-def two_part_q_pow_minus_eta(q: int, n: int, eta: int) -> int:
-    """(q^n - eta^n)_2 = (q - eta)_2 * t with t depending on the parity of n."""
-    if q % 2 == 0:
-        raise ValueError("q must be odd")
-    t = r_part(q + eta, 2) * r_part(n // 2, 2) if n % 2 == 0 else 1
-    return r_part(q - eta, 2) * t
-
-
-def r_part_product(q: int, n: int, r: int, eta: int) -> int:
-    """r-part of prod_{i=1..n} (q^i - eta^i), via the per-term closed forms."""
-    out = 1
-    for i in range(1, n + 1):
-        out *= r_part_q_pow_minus_eta(q, i, r, eta)
-    return out
-
-
-def r_part_product_closed_form(q: int, n: int, r: int) -> int:
-    """Closed form for the r-part of prod (q^i - 1), odd r only."""
-    if r == 2:
-        raise ValueError("use two_part_product for r = 2")
-    e = mult_order(q, r)
-    m = n // e
-    return r_part(q**e - 1, r) ** m * r_part(math.factorial(m), r)
-
-
-def three_part_product(q: int, n: int, eta: int) -> int:
-    """Closed form for the 3-part of prod (q^i - eta^i)."""
-    if math.gcd(q, 3) != 1:
-        raise ValueError("q must be coprime to 3")
-    if q % 3 == eta % 3:
-        return r_part(q - eta, 3) ** n * r_part(math.factorial(n), 3)
-    m = n // 2
-    return r_part(q + eta, 3) ** m * r_part(math.factorial(m), 3)
-
-
-def two_part_product(q: int, n: int, eta: int) -> int:
-    """Closed form for the 2-part of prod (q^i - eta^i)."""
-    if q % 2 == 0:
-        raise ValueError("q must be odd")
-    m = n // 2
-    return (
-        r_part(q - eta, 2) ** n
-        * r_part(q + eta, 2) ** m
-        * r_part(math.factorial(m), 2)
-    )
-
-
-def symmetric_dominates(q: int, r: int, m: int) -> bool:
-    """True iff ((q^2-1)(q^4-1)...(q^(2(m-1))-1))_r > (m!)_r.
-
-    Guaranteed true whenever m >= (r+1)/2 for odd r not dividing q.
-    """
-    lhs = 1
-    for i in range(1, m):
-        lhs *= r_part(q ** (2 * i) - 1, r)
-    return lhs > r_part(math.factorial(m), r)
 
 
 def epsilon(q: int) -> int:

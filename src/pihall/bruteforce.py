@@ -244,6 +244,8 @@ def _closure(
 
 
 def _primitive_root(p: int) -> int:
+    if p == 2:
+        return 1  # GF(2)* is trivial
     factors = [f for f, _ in factorize(p - 1).factors]
     for g in range(2, p):
         if all(pow(g, (p - 1) // f, p) != 1 for f in factors):

@@ -35,7 +35,6 @@ from pihall.groups import (
     G2,
     GENERAL,
     ISOMETRY,
-    LIE_FAMILIES,
     LINEAR_UNITARY,
     ORTHOGONAL,
     SIMPLE,
@@ -45,9 +44,7 @@ from pihall.groups import (
     TRI_D4,
     TWO_G2,
     GroupSpec,
-    InvalidParameter,
     _lie_formula,
-    _prime_power,
     format_group,
     order,
     validate,
@@ -78,10 +75,6 @@ def _regime(pi: PrimeSet) -> Tuple[str, Tuple[int, ...]]:
     if 3 not in pi:
         return TAG_NO_3, BOUND_NO_3
     return TAG_FULL, BOUND_FULL
-
-
-class ScopeError(ValueError):
-    """A family classifier was called outside its regime."""
 
 
 @dataclass(frozen=True)
@@ -136,16 +129,40 @@ def _fmt_set(s: Iterable[int]) -> str:
     return "{" + ",".join(str(x) for x in sorted(s)) + "}"
 
 
+@dataclass(frozen=True)
+class _Query:
+    """One query and the facts every family rule reads: |G|, pi ∩ pi(G)
+    (found by divisibility, so |G| is never factored) and h = |G|_pi; for
+    Lie type also q, its characteristic p and eps = epsilon(q) (None for even q)."""
+
+    spec: GroupSpec
+    pi: PrimeSet
+    order: int
+    gpi: frozenset
+    h: int
+    q: Optional[int]
+    p: Optional[int]
+    eps: Optional[int]
+
+
+def _query(spec: GroupSpec, pi: PrimeSet) -> _Query:
+    """The facts of a validated spec under pi."""
+    g = order(spec)
+    gpi = frozenset(r for r in pi if g % r == 0)
+    q = spec.q
+    eps = epsilon(q) if q is not None and q % 2 else None
+    return _Query(spec, pi, g, gpi, pi_part(g, gpi), q, spec.p, eps)
+
+
 def _report(
-    spec: GroupSpec,
-    pi: PrimeSet,
+    query: _Query,
     scope_tag: str,
     classes: Sequence[HallClassDescriptor],
     d_pi: str,
-    hall_order: Optional[int],
     notes: Sequence[str] = (),
     k_bound: Optional[Tuple[int, ...]] = None,
 ) -> HallReport:
+    spec, pi, hall_order = query.spec, query.pi, query.h
     classes = tuple(classes)
     if k_bound is not None:
         return HallReport(
@@ -160,16 +177,6 @@ def _report(
     return HallReport(
         spec, pi, e, classes, k, None, c, d, scope_tag, hall_order, tuple(notes)
     )
-
-
-def _hall_order(spec: GroupSpec, pi: PrimeSet) -> int:
-    return pi_part(order(spec), pi)
-
-
-def _gpi(spec: GroupSpec, pi: PrimeSet) -> frozenset:
-    """pi ∩ pi(G) by divisibility, without factoring |G|."""
-    g = order(spec)
-    return frozenset(p for p in pi if g % p == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +267,15 @@ def _sym_alt_d_pi(case: Optional[SymHallCase], n: int) -> str:
     return NO
 
 
-def _classify_sym_alt(spec: GroupSpec, pi: PrimeSet) -> HallReport:
+def _sym_alt(query: _Query) -> HallReport:
     """Sym(n) and Alt(n) share sym_hall_case: a Hall subgroup of Alt(n) is
     one of Sym(n) intersected with Alt(n), and its order is |Alt(n)|_pi."""
+    spec, gpi, h = query.spec, query.gpi, query.h
     n = spec.n
-    case = sym_hall_case(n, pi)
-    h = _hall_order(spec, pi)
-    tag, _ = _regime(pi)
+    case = sym_hall_case(n, query.pi)
+    tag, _ = _regime(query.pi)
     if case is None:
-        return _report(spec, pi, tag, [], NO, h)
-    gpi = _gpi(spec, pi)
+        return _report(query, tag, [], NO)
     structure = case.structure
     if spec.family == ALT:
         if case.case == "a":
@@ -283,39 +289,18 @@ def _classify_sym_alt(spec: GroupSpec, pi: PrimeSet) -> HallReport:
         Condition("case", case.case),
     )
     desc = HallClassDescriptor(f"{spec.family.lower()}.{case.case}", structure, h, 1, conds)
-    return _report(spec, pi, tag, [desc], _sym_alt_d_pi(case, n), h)
-
-
-def classify_sym(n: int, pi: PrimeSet) -> HallReport:
-    return _classify_sym_alt(validate(GroupSpec(SYM, n=n, variant=ISOMETRY)), pi)
-
-
-def classify_alt(n: int, pi: PrimeSet) -> HallReport:
-    variant = SIMPLE if n >= 5 else ISOMETRY
-    return _classify_sym_alt(validate(GroupSpec(ALT, n=n, variant=variant)), pi)
+    return _report(query, tag, [desc], _sym_alt_d_pi(case, n))
 
 
 # ---------------------------------------------------------------------------
 # two-dimensional linear and unitary groups
 
 
-def _require_cross_char(q: int, pi: PrimeSet) -> None:
-    if 2 not in pi or 3 not in pi:
-        raise ScopeError("this classifier needs 2 and 3 in pi")
-    if _prime_power(q)[0] in pi:
-        raise ScopeError("this classifier needs the defining characteristic outside pi")
-    if q % 2 == 0:
-        raise ScopeError("base field must have odd order")
-
-
-def classify_sl2(q: int, pi: PrimeSet, projective: bool = True) -> HallReport:
-    """pi-Hall subgroups of SL2(q) (or PSL2(q) with projective=True)."""
-    _require_cross_char(q, pi)
-    variant = SIMPLE if projective else ISOMETRY
-    spec = validate(GroupSpec(LINEAR_UNITARY, n=2, q=q, eta=1, variant=variant))
-    eps = epsilon(q)
-    gpi = _gpi(spec, pi)
-    h = _hall_order(spec, pi)
+def _sl2(query: _Query) -> HallReport:
+    """pi-Hall subgroups of SL2(q), or of PSL2(q) for the simple variant;
+    SU2(q) = SL2(q) takes the same answer."""
+    q, eps, pi, gpi = query.q, query.eps, query.pi, query.gpi
+    projective = query.spec.variant == SIMPLE
     classes: List[HallClassDescriptor] = []
 
     if gpi <= frozenset(prime_divisors(q - eps)):
@@ -371,19 +356,16 @@ def classify_sl2(q: int, pi: PrimeSet, projective: bool = True) -> HallReport:
                 fusion_note="the two classes are interchanged by the diagonal outer automorphism (PGL2 level)",
             )
         )
-    rep = _report(spec, pi, TAG_FULL, classes, NO, h)
+    rep = _report(query, TAG_FULL, classes, NO)
     if rep.k_pi is not None and rep.k_pi not in (0, 1, 2, 3):
         raise RuntimeError(f"SL2 class count {rep.k_pi} outside {{1,2,3}}")
     return rep
 
 
-def classify_gl2(q: int, eta: int, pi: PrimeSet) -> HallReport:
+def _gl2(query: _Query) -> HallReport:
     """pi-Hall subgroups of GL2(q) (eta=+1) or GU2(q) (eta=-1)."""
-    _require_cross_char(q, pi)
-    spec = validate(GroupSpec(LINEAR_UNITARY, n=2, q=q, eta=eta, variant=GENERAL))
-    eps = epsilon(q)
-    gpi = _gpi(spec, pi)
-    h = _hall_order(spec, pi)
+    q, eps, pi, gpi = query.q, query.eps, query.pi, query.gpi
+    eta = query.spec.eta
     z = pi_part(q - eta, pi)
     classes: List[HallClassDescriptor] = []
     if gpi <= frozenset(prime_divisors(q - eps)):
@@ -403,7 +385,7 @@ def classify_gl2(q: int, eta: int, pi: PrimeSet) -> HallReport:
         classes.append(
             HallClassDescriptor("gl2.b", f"Z({z}) . Sym(4)", z * 24, 1, conds)
         )
-    rep = _report(spec, pi, TAG_FULL, classes, OUT_OF_SCOPE, h)
+    rep = _report(query, TAG_FULL, classes, OUT_OF_SCOPE)
     if rep.k_pi is not None and rep.k_pi > 2:
         raise RuntimeError(f"GL2 class count {rep.k_pi} outside {{1,2}}")
     return rep
@@ -413,17 +395,12 @@ def classify_gl2(q: int, eta: int, pi: PrimeSet) -> HallReport:
 # linear and unitary groups, n >= 3
 
 
-def classify_linear_unitary(
-    n: int, q: int, eta: int, pi: PrimeSet, variant: str = SIMPLE
-) -> HallReport:
-    _require_cross_char(q, pi)
-    if n == 2:
-        if variant == GENERAL:
-            return classify_gl2(q, eta, pi)
-        return classify_sl2(q, pi, projective=(variant == SIMPLE))
-    spec = validate(GroupSpec(LINEAR_UNITARY, n=n, q=q, eta=eta, variant=variant))
-    gpi = _gpi(spec, pi)
-    h = _hall_order(spec, pi)
+def _linear_unitary(query: _Query) -> HallReport:
+    """SL_n^eta(q) and PSL_n^eta(q) for n >= 3."""
+    spec, q, pi, gpi, h = query.spec, query.q, query.pi, query.gpi, query.h
+    n, eta, variant = spec.n, spec.eta, spec.variant
+    d = math.gcd(n, q - eta)
+    sl_order = query.order * d if variant == SIMPLE else query.order
     sgn = "+" if eta == 1 else "-"
     classes: List[HallClassDescriptor] = []
     notes: List[str] = []
@@ -442,7 +419,7 @@ def classify_linear_unitary(
             return None
         checked = []
         for rr in sorted((frozenset(pi) & primes_n_fact) - pi_q_minus_eta):
-            g_r = r_part(order(replace(spec, variant=ISOMETRY)), rr)  # |SL_n^eta(q)|_r
+            g_r = r_part(sl_order, rr)
             s_r = r_part(math.factorial(n), rr)
             checked.append(Condition(f"|G|_{rr} vs |Sym_n|_{rr}", f"{g_r} vs {s_r}"))
             if g_r != s_r:
@@ -452,7 +429,6 @@ def classify_linear_unitary(
             Condition("pi ∩ pi(G)", _fmt_set(gpi)),
             *checked,
         )
-        d = math.gcd(n, q - eta)
         quot = f" / Z({d})" if variant == SIMPLE and d > 1 else ""
         return HallClassDescriptor(
             "linear_unitary.b",
@@ -466,7 +442,7 @@ def classify_linear_unitary(
             return None
         if not gpi <= frozenset(prime_divisors(q * q - 1)):
             return None
-        gl = classify_gl2(q, eta, pi)
+        gl = _gl2(_query(GroupSpec(LINEAR_UNITARY, n=2, q=q, eta=eta, variant=GENERAL), pi))
         if gl.e_pi != YES:
             return None
         sym = sym_hall_case(m, pi)
@@ -500,7 +476,6 @@ def classify_linear_unitary(
             Condition("(q^2+1)_5", "5"),
             Condition("pi ∩ pi(G)", "{2,3,5}"),
         )
-        d = math.gcd(4, q - eta)
         structure = "4.2^4.Alt(6)" + (f" / Z({d})" if variant == SIMPLE and d > 1 else "")
         so = 23040 // (d if variant == SIMPLE else 1)
         return HallClassDescriptor(
@@ -544,7 +519,7 @@ def classify_linear_unitary(
             if desc is not None:
                 classes.append(desc)
 
-    rep = _report(spec, pi, TAG_FULL, classes, NO, h, notes)
+    rep = _report(query, TAG_FULL, classes, NO, notes)
     if rep.k_pi is not None and rep.k_pi not in (0, 1, 2, 3, 4):
         raise RuntimeError(f"linear/unitary class count {rep.k_pi} outside {{1,2,3,4}}")
     return rep
@@ -554,17 +529,10 @@ def classify_linear_unitary(
 # symplectic groups
 
 
-def classify_symplectic(
-    n2: int, q: int, pi: PrimeSet, variant: str = SIMPLE
-) -> HallReport:
-    _require_cross_char(q, pi)
-    if n2 % 2 != 0 or n2 < 4:
-        raise InvalidParameter("symplectic-dim", "need even n >= 4")
-    spec = validate(GroupSpec(SYMPLECTIC, n=n2, q=q, variant=variant))
-    m = n2 // 2
-    gpi = _gpi(spec, pi)
-    h = _hall_order(spec, pi)
-    sl2rep = classify_sl2(q, pi, projective=False)
+def _symplectic(query: _Query) -> HallReport:
+    q, pi, gpi, h = query.q, query.pi, query.gpi, query.h
+    m = query.spec.n // 2
+    sl2rep = _sl2(_query(GroupSpec(LINEAR_UNITARY, n=2, q=q, eta=1, variant=ISOMETRY), pi))
     sym = sym_hall_case(m, pi)
     cond_spectrum = gpi <= frozenset(prime_divisors(q * q - 1))
     classes: List[HallClassDescriptor] = []
@@ -575,7 +543,7 @@ def classify_symplectic(
             Condition("Sym_m case / orbit count t", f"{sym.case} / {sym.orbit_count}"),
             Condition("pi ∩ pi(G) ⊆ pi(q^2-1)", _fmt_set(gpi)),
         )
-        quot = " / Z(2)" if variant == SIMPLE else ""
+        quot = " / Z(2)" if query.spec.variant == SIMPLE else ""
         classes.append(
             HallClassDescriptor(
                 "symplectic.wreath",
@@ -584,7 +552,7 @@ def classify_symplectic(
                 fusion_note="classes are indexed by the SL2-Hall class chosen on each orbit of the Sym_m-Hall",
             )
         )
-    rep = _report(spec, pi, TAG_FULL, classes, NO, h)
+    rep = _report(query, TAG_FULL, classes, NO)
     if rep.k_pi is not None and rep.k_pi not in (0, 1, 2, 3, 4, 9):
         raise RuntimeError(f"symplectic class count {rep.k_pi} outside {{1,2,3,4,9}}")
     return rep
@@ -594,26 +562,11 @@ def classify_symplectic(
 # orthogonal groups
 
 
-def classify_orthogonal(
-    n: int, q: int, eta: Optional[int], pi: PrimeSet, variant: str = ISOMETRY
-) -> HallReport:
-    """Orthogonal groups: dimension <= 6 answered by the small-dimension
-    table (at the Omega level), dimension >= 7 by the general criteria."""
-    _require_cross_char(q, pi)
-    spec = validate(GroupSpec(ORTHOGONAL, n=n, q=q, eta=eta, variant=variant))
-    if spec.family != ORTHOGONAL:
-        raise ScopeError(
-            "spec normalizes away from the orthogonal family; call classify() instead"
-        )
-    eps = epsilon(q)
-    gpi = _gpi(spec, pi)
-    h = _hall_order(spec, pi)
-    if n <= 6:
-        return _orthogonal_small(spec, n, q, eta, pi, eps, gpi, h)
-    return _orthogonal_large(spec, n, q, eta, pi, eps, gpi, h)
-
-
-def _orthogonal_small(spec, n, q, eta, pi, eps, gpi, h) -> HallReport:
+def _orthogonal_small(query: _Query) -> HallReport:
+    """The small-dimension table, n <= 6, at the Omega level; validation
+    rewrites or rejects the simple variants, so only isometry groups get here."""
+    q, eps, pi, gpi, h = query.q, query.eps, query.pi, query.gpi, query.h
+    n, eta = query.spec.n, query.spec.eta
     classes: List[HallClassDescriptor] = []
     pi_q_minus_eps = frozenset(prime_divisors(q - eps))
     part23 = pi_part(q * q - 1, (2, 3))
@@ -630,7 +583,7 @@ def _orthogonal_small(spec, n, q, eta, pi, eps, gpi, h) -> HallReport:
     if n == 2:
         m = pi_part((q - eta) // 2, pi)
         add("a", f"Z({m})", m, 1, [Condition("cyclic order", str((q - eta) // 2))])
-        return _report(spec, pi, TAG_FULL, classes, YES, h)
+        return _report(query, TAG_FULL, classes, YES)
 
     if n == 3:
         if gpi <= pi_q_minus_eps:
@@ -717,7 +670,7 @@ def _orthogonal_small(spec, n, q, eta, pi, eps, gpi, h) -> HallReport:
                 [Condition("(q^2-1)_{2,3}", "24"), Condition("(q^2+1)_5", "5"),
                  Condition("q mod 8", str(q % 8))],
                 "invariant under O6(q); the similarity group interchanges the two classes")
-    return _report(spec, pi, TAG_FULL, classes, NO if n > 2 else YES, h)
+    return _report(query, TAG_FULL, classes, NO)
 
 
 # expected pi-parts of |Omega_n(q)| in the three exotic constant cases
@@ -728,7 +681,10 @@ _OMEGA_EXOTIC = {
 }
 
 
-def _orthogonal_large(spec, n, q, eta, pi, eps, gpi, h) -> HallReport:
+def _orthogonal_large(query: _Query) -> HallReport:
+    """Orthogonal groups of dimension >= 7 by the general criteria."""
+    spec, q, eps, pi, gpi, h = query.spec, query.q, query.eps, query.pi, query.gpi, query.h
+    n, eta = spec.n, spec.eta
     classes: List[HallClassDescriptor] = []
     pi_q_minus_eps = frozenset(prime_divisors(q - eps))
     cond_mod12 = (q - eps) % 12 == 0
@@ -765,7 +721,7 @@ def _orthogonal_large(spec, n, q, eta, pi, eps, gpi, h) -> HallReport:
     if n in _OMEGA_EXOTIC and gpi == frozenset((2, 3, 5, 7)):
         name, omega_pi = _OMEGA_EXOTIC[n]
         omega = GroupSpec(ORTHOGONAL, n=n, q=q, eta=eta, variant=ISOMETRY)
-        if (n != 8 or eta == 1) and _hall_order(omega, pi) == omega_pi:
+        if (n != 8 or eta == 1) and _query(omega, pi).h == omega_pi:
             if spec.variant == SIMPLE and n == 8:
                 structure, so = "Omega8+(2)", omega_pi // 2
             else:
@@ -779,7 +735,7 @@ def _orthogonal_large(spec, n, q, eta, pi, eps, gpi, h) -> HallReport:
             add("fgh"[n - 7], structure, so, count,
                 [Condition("pi ∩ pi(G)", "{2,3,5,7}"),
                  Condition("|Omega|_pi", str(omega_pi))], fusion)
-    rep = _report(spec, pi, TAG_FULL, classes, NO, h)
+    rep = _report(query, TAG_FULL, classes, NO)
     if rep.k_pi is not None and rep.k_pi not in (0, 1, 2, 3, 4):
         raise RuntimeError(f"orthogonal class count {rep.k_pi} outside {{1,2,3,4}}")
     return rep
@@ -789,14 +745,11 @@ def _orthogonal_large(spec, n, q, eta, pi, eps, gpi, h) -> HallReport:
 # exceptional groups
 
 
-def classify_exceptional(
-    family: str, q: int, eta: Optional[int], pi: PrimeSet
-) -> HallReport:
-    _require_cross_char(q, pi)
-    spec = validate(GroupSpec(family, q=q, eta=eta))
-    eps = epsilon(q)
-    gpi = _gpi(spec, pi)
-    h = _hall_order(spec, pi)
+def _exceptional(query: _Query) -> HallReport:
+    """G2, F4, E6, E7, E8 and 3D4; 2G2 never gets here, since 3 in pi puts
+    its characteristic in pi."""
+    q, eps, pi, gpi, h = query.q, query.eps, query.pi, query.gpi, query.h
+    family, eta = query.spec.family, query.spec.eta
     pi_q_minus_eps = frozenset(prime_divisors(q - eps))
     torus = gpi <= pi_q_minus_eps
     classes: List[HallClassDescriptor] = []
@@ -861,9 +814,7 @@ def classify_exceptional(
                     h, 1, tuple(base),
                 )
             )
-    else:
-        raise ScopeError(f"not an exceptional family: {family}")
-    rep = _report(spec, pi, TAG_FULL, classes, NO, h)
+    rep = _report(query, TAG_FULL, classes, NO)
     if rep.k_pi is not None and rep.k_pi > 1:
         raise RuntimeError("exceptional families have at most one class")
     return rep
@@ -890,15 +841,13 @@ SPORADIC_HALL_TABLE: Dict[Tuple[str, frozenset], Tuple[str, ...]] = {
 }
 
 
-def classify_sporadic(name: str, pi: PrimeSet) -> HallReport:
+def _sporadic(query: _Query) -> HallReport:
     from pihall.structure import structure_order
 
-    spec = validate(GroupSpec(SPORADIC, sporadic_name=name))
-    gpi = _gpi(spec, pi)
-    h = _hall_order(spec, pi)
+    gpi = query.gpi
     # every sporadic order is divisible by 2 and 3, so pi's regime is gpi's
-    tag, bound = _regime(pi)
-    rows = SPORADIC_HALL_TABLE.get((spec.sporadic_name, frozenset(gpi)))
+    tag, bound = _regime(query.pi)
+    rows = SPORADIC_HALL_TABLE.get((query.spec.sporadic_name, gpi))
     if rows:
         classes = tuple(
             HallClassDescriptor(
@@ -907,13 +856,12 @@ def classify_sporadic(name: str, pi: PrimeSet) -> HallReport:
             )
             for i, s in enumerate(rows)
         )
-        return _report(spec, pi, tag, classes, OUT_OF_SCOPE, h)
+        return _report(query, tag, classes, OUT_OF_SCOPE)
     if tag == TAG_FULL:
         # the table of proper Hall subgroups with 2,3 in pi is complete
-        return _report(spec, pi, tag, [], NO, h,
-                       notes=("no proper pi-Hall subgroup with 2,3 in pi",))
+        return _report(query, tag, [], NO, notes=("no proper pi-Hall subgroup with 2,3 in pi",))
     note = ("odd-order Hall existence lives" if tag == TAG_NO_2 else "existence criteria live")
-    return _report(spec, pi, tag, [], OUT_OF_SCOPE, h, k_bound=bound,
+    return _report(query, tag, [], OUT_OF_SCOPE, k_bound=bound,
                    notes=(f"{note} in the cited classification",))
 
 
@@ -966,19 +914,10 @@ def _borel_pi_part(spec: GroupSpec, pi: PrimeSet) -> Optional[int]:
     return q**formula.q_exp * pi_part((q - 1) ** len(formula.terms) // formula.divisor, pi)
 
 
-def classify_defining_char(spec: GroupSpec, pi: PrimeSet) -> HallReport:
-    spec = validate(spec)
-    if spec.family not in LIE_FAMILIES:
-        raise ScopeError("defining-characteristic classifier needs a Lie-type spec")
-    p = spec.p
-    if p not in pi:
-        raise ScopeError("defining characteristic must lie in pi")
-    if 2 not in pi or 3 not in pi:
-        raise ScopeError("this classifier needs 2 and 3 in pi")
-    gpi = _gpi(spec, pi)
-    h = _hall_order(spec, pi)
-    g_order = order(spec)
-    q, n = spec.q, spec.n
+def _defining_char(query: _Query) -> HallReport:
+    """Lie type with 2, 3 and the defining characteristic p in pi."""
+    spec, q, p, pi, gpi, h = query.spec, query.q, query.p, query.pi, query.gpi, query.h
+    g_order, n = query.order, spec.n
 
     # flag-stabilizer patterns (linear groups only)
     if spec.family == LINEAR_UNITARY and spec.eta == 1 and spec.variant != GENERAL:
@@ -997,7 +936,7 @@ def classify_defining_char(spec: GroupSpec, pi: PrimeSet) -> HallReport:
                      Condition("pi ∩ pi(S)", _fmt_set(gpi))),
                     fusion_note="one class per ordering of the dimension profile",
                 )
-                return _report(spec, pi, TAG_DEFINING, [desc], OUT_OF_SCOPE, h)
+                return _report(query, TAG_DEFINING, [desc], OUT_OF_SCOPE)
 
     # Borel pattern: pi ∩ pi(S) inside pi(q-1) ∪ {p}
     if gpi <= frozenset(prime_divisors(q - 1)) | {p}:
@@ -1008,9 +947,9 @@ def classify_defining_char(spec: GroupSpec, pi: PrimeSet) -> HallReport:
                 (Condition("pi ∩ pi(S)", _fmt_set(gpi)),
                  Condition("|Borel|_pi", str(bpi))),
             )
-            return _report(spec, pi, TAG_DEFINING, [desc], OUT_OF_SCOPE, h)
+            return _report(query, TAG_DEFINING, [desc], OUT_OF_SCOPE)
         return _report(
-            spec, pi, TAG_DEFINING, [], OUT_OF_SCOPE, h,
+            query, TAG_DEFINING, [], OUT_OF_SCOPE,
             k_bound=BOUND_FULL,
             notes=("Borel-type pattern matched but existence is not settled here",),
         )
@@ -1019,7 +958,7 @@ def classify_defining_char(spec: GroupSpec, pi: PrimeSet) -> HallReport:
     if spec.family == ORTHOGONAL and n % 2 == 0 and p == 2:
         m = n // 2
         sub = GroupSpec(ORTHOGONAL, n=n - 2, q=q, eta=spec.eta, variant=ISOMETRY)
-        if gpi == _gpi(sub, pi) | {2}:
+        if gpi == _query(sub, pi).gpi | {2}:
             index = (q**m - spec.eta) * (q ** (m - 1) + spec.eta) // (q - 1)
             if pi_part(index, pi) == 1:
                 desc = HallClassDescriptor(
@@ -1029,10 +968,10 @@ def classify_defining_char(spec: GroupSpec, pi: PrimeSet) -> HallReport:
                     (Condition("parabolic index", str(index)),
                      Condition("pi ∩ pi(S)", _fmt_set(gpi))),
                 )
-                return _report(spec, pi, TAG_DEFINING, [desc], OUT_OF_SCOPE, h)
+                return _report(query, TAG_DEFINING, [desc], OUT_OF_SCOPE)
 
     return _report(
-        spec, pi, TAG_DEFINING, [], OUT_OF_SCOPE, h,
+        query, TAG_DEFINING, [], OUT_OF_SCOPE,
         k_bound=BOUND_FULL,
         notes=("no defining-characteristic pattern matched; criteria live in cited works",),
     )
@@ -1042,11 +981,9 @@ def classify_defining_char(spec: GroupSpec, pi: PrimeSet) -> HallReport:
 # the small Ree family in the 3-outside-pi regime
 
 
-def _classify_small_ree(spec: GroupSpec, pi: PrimeSet) -> Optional[HallReport]:
-    gpi = _gpi(spec, pi)
-    h = _hall_order(spec, pi)
-    q = spec.q
-    a = spec.field_exponent  # q = 3^a, a = 2k+1
+def _small_ree(query: _Query) -> Optional[HallReport]:
+    q, pi, gpi, h = query.q, query.pi, query.gpi, query.h
+    a = query.spec.field_exponent  # q = 3^a, a = 2k+1
     k = (a - 1) // 2
     if gpi == frozenset((2, 7)) and (q + 1) % 7 == 0 and k % 7 != 3:
         conds = (
@@ -1064,7 +1001,7 @@ def _classify_small_ree(spec: GroupSpec, pi: PrimeSet) -> Optional[HallReport]:
             "small_ree.frobenius", "2^3:7", 56, 1, conds,
             fusion_note="Frobenius group; Sylow tower with 7 before 2",
         )
-        return _report(spec, pi, TAG_NO_3, [torus, frob], NO, h)
+        return _report(query, TAG_NO_3, [torus, frob], NO)
     return None
 
 
@@ -1074,27 +1011,19 @@ def _classify_small_ree(spec: GroupSpec, pi: PrimeSet) -> Optional[HallReport]:
 
 def classify(spec: GroupSpec, pi: PrimeSet) -> HallReport:
     """Full decision procedure: validates, normalizes, and dispatches."""
-    pi = PrimeSet(pi)
-    spec = validate(spec)
-    report = _dispatch(spec, pi)
-    # family classifiers build their own spec (PSU(2,q) as PSL(2,q)); name it as asked
-    if report.spec != spec or report.spec.aliases != spec.aliases:
-        report = replace(report, spec=spec)
-    return report
+    return _dispatch(_query(validate(spec), PrimeSet(pi)))
 
 
-def _dispatch(spec: GroupSpec, pi: PrimeSet) -> HallReport:
-    gpi = _gpi(spec, pi)
-    h = _hall_order(spec, pi)
-    g_order = order(spec)
+def _dispatch(query: _Query) -> HallReport:
+    spec, pi, gpi, h = query.spec, query.pi, query.gpi, query.h
 
-    if h == g_order:
+    if h == query.order:
         # pi ⊇ pi(G), so pi(G) = pi ∩ pi(G)
         desc = HallClassDescriptor(
-            "trivial.whole_group", format_group(spec), g_order, 1,
+            "trivial.whole_group", format_group(spec), h, 1,
             (Condition("pi ⊇ pi(G)", _fmt_set(gpi)),),
         )
-        return _report(spec, pi, TAG_COVER, [desc], YES, h)
+        return _report(query, TAG_COVER, [desc], YES)
     if len(gpi) <= 1:
         if not gpi:
             desc = HallClassDescriptor(
@@ -1107,39 +1036,38 @@ def _dispatch(spec: GroupSpec, pi: PrimeSet) -> HallReport:
                 "trivial.sylow", _prime_power_structure(rr, h), h, 1,
                 (Condition("pi ∩ pi(G)", _fmt_set(gpi)),),
             )
-        return _report(spec, pi, TAG_SMALL, [desc], YES, h)
+        return _report(query, TAG_SMALL, [desc], YES)
 
     # the symmetric/alternating classification is complete for every pi,
     # and the sporadic module answers its own bound regimes
     if spec.family in (SYM, ALT):
-        return _classify_sym_alt(spec, pi)
+        return _sym_alt(query)
     if spec.family == SPORADIC:
-        return classify_sporadic(spec.sporadic_name, pi)
+        return _sporadic(query)
 
     tag, bound = _regime(pi)
     if tag == TAG_NO_3 and spec.family == TWO_G2:
-        special = _classify_small_ree(spec, pi)
+        special = _small_ree(query)
         if special is not None:
             return special
     if tag != TAG_FULL:
         head = ("odd pi: Hall subgroups are conjugate when they exist;"
                 if tag == TAG_NO_2 else "2 in pi, 3 outside pi:")
-        return _report(spec, pi, tag, [], OUT_OF_SCOPE, h, k_bound=bound,
+        return _report(query, tag, [], OUT_OF_SCOPE, k_bound=bound,
                        notes=(f"{head} existence criteria live in the cited classification",))
 
-    if spec.p in pi:
-        return classify_defining_char(spec, pi)
-
+    if query.p in pi:
+        return _defining_char(query)
+    # from here on 2, 3 in pi and p outside pi, so q is odd
+    if spec.family == LINEAR_UNITARY and spec.n == 2:
+        return _gl2(query) if spec.variant == GENERAL else _sl2(query)
     if spec.family == LINEAR_UNITARY:
-        return classify_linear_unitary(spec.n, spec.q, spec.eta, pi, spec.variant)
+        return _linear_unitary(query)
     if spec.family == SYMPLECTIC:
-        return classify_symplectic(spec.n, spec.q, pi, spec.variant)
+        return _symplectic(query)
     if spec.family == ORTHOGONAL:
-        return classify_orthogonal(spec.n, spec.q, spec.eta, pi, spec.variant)
-    if spec.family == TWO_G2:
-        # q = 3^a and 3 in pi lands in defining characteristic above
-        raise ScopeError("unreachable: 2G2 with 3 in pi is defining characteristic")
-    return classify_exceptional(spec.family, spec.q, spec.eta, pi)
+        return _orthogonal_small(query) if spec.n <= 6 else _orthogonal_large(query)
+    return _exceptional(query)
 
 
 # ---------------------------------------------------------------------------

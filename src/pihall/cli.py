@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -416,6 +417,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_wreath(args: argparse.Namespace) -> int:
     if not is_prime(args.p):
         print(f"parse error: p = {args.p} is not prime", file=sys.stderr)
+        return EXIT_PARSE
+    # checked before k**p is built: its decimal form would exceed Python's limit
+    digits = args.p * math.log10(args.k)
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        print(f"parse error: k^p has about {digits:.0f} digits, over the "
+              f"{limit}-digit limit for printing an integer", file=sys.stderr)
         return EXIT_PARSE
     value = kpi_wreath_cyclic(args.k, args.p)
     line = f"k_pi(base wr Z({args.p})) = {value}"

@@ -214,14 +214,15 @@ def parse_group(text: str) -> GroupSpec:
         return GroupSpec(ALT, n=intarg(0))
     if h in ("SYM", "S") and not headsign:
         return GroupSpec(SYM, n=intarg(0))
-    if h in ("PSL", "SL", "PSU", "SU", "GL", "GU", "PGL", "PGU"):
+    # PGL and PGU have no spec of their own, so they are not read as GL and GU
+    if h in ("PSL", "SL", "PSU", "SU", "GL", "GU"):
         n = intarg(0)
         q = intarg(1)
-        if h in ("PSU", "SU", "GU", "PGU"):
+        if h in ("PSU", "SU", "GU"):
             eta = -1
         else:
             eta = signarg(2, 1)
-        if h in ("GL", "GU", "PGL", "PGU"):
+        if h in ("GL", "GU"):
             variant = GENERAL
         elif h in ("PSL", "PSU"):
             variant = SIMPLE

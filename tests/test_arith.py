@@ -12,19 +12,12 @@ from pihall.arith import (
     e_star,
     epsilon,
     factorize,
-    r_part_product_closed_form,
     is_prime,
     mult_order,
     pi_part,
     r_part,
-    r_part_product,
     r_part_q_pow_minus_1,
     r_part_q_pow_minus_eta,
-    symmetric_dominates,
-    three_part_product,
-    three_part_q_pow_minus_eta,
-    two_part_product,
-    two_part_q_pow_minus_eta,
 )
 
 ODD_Q = [q for q in range(3, 50, 2)]
@@ -75,19 +68,6 @@ def test_r_part_q_pow_minus_eta_examples():
     assert r_part_q_pow_minus_eta(5, 2, 3, -1) == 3
 
 
-def test_r_part_product_examples():
-    assert r_part_product(7, 2, 2, 1) == 32
-    # oracle-computed: (5-1)_3 * (5^2-1)_3 = 1 * 3
-    assert r_part_product(5, 2, 3, 1) == 3
-    assert r_part_product(3, 1, 2, 1) == 2
-
-
-def test_symmetric_dominates_examples():
-    assert symmetric_dominates(7, 5, 3) is True
-    assert symmetric_dominates(7, 5, 1) is False
-    assert symmetric_dominates(5, 7, 4) is True
-
-
 def test_epsilon_examples():
     assert epsilon(5) == 1
     assert epsilon(7) == -1
@@ -134,37 +114,9 @@ def test_closed_forms_match_direct_valuation_exhaustively():
                     assert r_part_q_pow_minus_eta(q, n, r, eta) == direct, (q, n, r, eta)
 
 
-def test_specialized_two_three_parts_match_general_form():
-    for q in ODD_Q:
-        for n in range(1, 13):
-            for eta in (1, -1):
-                assert two_part_q_pow_minus_eta(q, n, eta) == r_part_q_pow_minus_eta(
-                    q, n, 2, eta
-                )
-                if q % 3 != 0:
-                    assert three_part_q_pow_minus_eta(q, n, eta) == r_part_q_pow_minus_eta(
-                        q, n, 3, eta
-                    )
-
-
-def test_product_closed_forms():
-    for q in ODD_Q:
-        for n in range(1, 13):
-            for eta in (1, -1):
-                direct = direct_r_part(
-                    math.prod(q**i - eta**i for i in range(1, n + 1)), 2
-                )
-                assert two_part_product(q, n, eta) == direct
-                assert r_part_product(q, n, 2, eta) == direct
-                if q % 3 != 0:
-                    direct3 = direct_r_part(
-                        math.prod(q**i - eta**i for i in range(1, n + 1)), 3
-                    )
-                    assert three_part_product(q, n, eta) == direct3
-                    assert r_part_product(q, n, 3, eta) == direct3
-
-
 def test_product_closed_form_odd_r():
+    # the r-part of prod (q^i - 1), the shape of |SL_n(q)|_r, from the per-term
+    # closed forms, with even q as well
     for q in (2, 3, 5, 7, 11, 49):
         for r in (3, 5, 7, 11, 13):
             if math.gcd(q, r) != 1:
@@ -173,17 +125,8 @@ def test_product_closed_form_odd_r():
                 direct = direct_r_part(
                     math.prod(q**i - 1 for i in range(1, n + 1)), r
                 )
-                assert r_part_product_closed_form(q, n, r) == direct, (q, n, r)
-
-
-def test_symmetric_domination_guarantee():
-    # guaranteed whenever m >= (r+1)/2
-    for q in (5, 7, 11, 13, 25):
-        for r in (3, 5, 7, 11, 13):
-            if q % r == 0:
-                continue
-            for m in range((r + 1) // 2, (r + 1) // 2 + 4):
-                assert symmetric_dominates(q, r, m), (q, r, m)
+                termwise = math.prod(r_part_q_pow_minus_1(q, i, r) for i in range(1, n + 1))
+                assert termwise == direct, (q, n, r)
 
 
 @given(
@@ -223,13 +166,16 @@ def test_factorize_roundtrip(n):
 )
 @settings(max_examples=120, deadline=None)
 def test_product_is_termwise_product(q, r, n):
+    # the r-part of prod (q^i - eta^i), the shape of |G|_r, is the product of
+    # the per-term closed forms, up to n = 20
     if math.gcd(q, r) != 1:
         return
     for eta in (1, -1):
         term = 1
         for i in range(1, n + 1):
             term *= r_part_q_pow_minus_eta(q, i, r, eta)
-        assert r_part_product(q, n, r, eta) == term
+        direct = direct_r_part(math.prod(q**i - eta**i for i in range(1, n + 1)), r)
+        assert direct == term
 
 
 def test_cyclotomic_factoring_matches_direct():

@@ -9,7 +9,6 @@ from pihall.classify import (
     BOUND_NO_3,
     NO,
     OUT_OF_SCOPE,
-    ScopeError,
     TAG_COVER,
     TAG_DEFINING,
     TAG_FULL,
@@ -18,20 +17,13 @@ from pihall.classify import (
     TAG_SMALL,
     YES,
     classify,
-    classify_alt,
-    classify_defining_char,
-    classify_exceptional,
-    classify_gl2,
-    classify_linear_unitary,
-    classify_orthogonal,
-    classify_sl2,
-    classify_sym,
-    classify_symplectic,
-    classify_sporadic,
     kpi_bound_almost_simple,
     sym_hall_case,
 )
 from pihall.groups import (
+    ALT,
+    ISOMETRY,
+    SYM,
     GroupSpec,
     format_group,
     order,
@@ -94,37 +86,28 @@ SL2_EXPECT = {
 
 def test_sl2_grid():
     for q, (k, cases) in SL2_EXPECT.items():
-        r = classify_sl2(q, P23, projective=True)
+        r = rep(f"PSL(2,{q})", P23)
         assert r.k_pi == k, (q, r)
         assert {c.case_id for c in r.classes} == cases
         assert r.d_pi == NO
-        r2 = classify_sl2(q, P23, projective=False)
+        r2 = rep(f"SL(2,{q})", P23)
         assert r2.k_pi == k
         assert r2.hall_order == 2 * r.hall_order
 
 
 def test_sl2_alt5_case():
-    r = classify_sl2(11, P235, projective=True)
+    r = rep("PSL(2,11)", P235)
     assert r.k_pi == 2
     assert r.classes[0].structure == "Alt(5)"
     assert r.hall_order == 60
 
 
-def test_sl2_scope_errors():
-    with pytest.raises(ScopeError):
-        classify_sl2(7, PrimeSet((2, 3, 7)))
-    with pytest.raises(ScopeError):
-        classify_sl2(7, PrimeSet((2, 5)))
-    with pytest.raises(ScopeError):
-        classify_sl2(8, P23)
-
-
 def test_gl2():
-    r = classify_gl2(11, 1, P23)  # both dihedral and octahedral types
+    r = rep("GL(2,11)", P23)  # both dihedral and octahedral types
     assert r.k_pi == 2
-    r = classify_gl2(5, 1, P23)
+    r = rep("GL(2,5)", P23)
     assert r.k_pi == 1 and r.classes[0].case_id == "gl2.b"
-    r = classify_gl2(7, -1, P23)
+    r = rep("GL(2,7,-)", P23)
     assert r.e_pi == NO
 
 
@@ -133,7 +116,7 @@ def test_gl2():
 
 
 def test_linear_unitary_torus_case():
-    r = classify_linear_unitary(3, 7, -1, P23, variant="isometry")
+    r = rep("SU(3,7)", P23)
     assert r.k_pi == 1
     assert r.classes[0].case_id == "linear_unitary.b"
     # |SU3(7)|_{2,3} = 384
@@ -141,29 +124,29 @@ def test_linear_unitary_torus_case():
 
 
 def test_linear_unitary_exotic_dim4():
-    r = classify_linear_unitary(4, 67, -1, P235, variant="isometry")
+    r = rep("SU(4,67)", P235)
     assert r.k_pi == 2
     assert r.classes[0].structure == "4.2^4.Alt(6)"
     assert r.hall_order == 23040
 
 
 def test_linear_unitary_dim11():
-    r = classify_linear_unitary(11, 5, 1, P23, variant="isometry")
+    r = rep("SL(11,5)", P23)
     assert r.k_pi == 3
     assert {c.case_id for c in r.classes} == {"linear_unitary.e", "linear_unitary.c"}
 
 
 def test_linear_unitary_block_case_counts():
     # GL2(11) has two Hall classes; one orbit for Sym(2) tops
-    r = classify_linear_unitary(4, 11, 1, P23, variant="isometry")
+    r = rep("SL(4,11)", P23)
     assert r.k_pi == 2
     # two orbits at m = 5 gives the square
-    r = classify_linear_unitary(10, 11, 1, P23, variant="isometry")
+    r = rep("SL(10,11)", P23)
     assert r.k_pi == 4
 
 
 def test_linear_unitary_existence_failure():
-    r = classify_linear_unitary(5, 7, 1, P235, variant="isometry")
+    r = rep("SL(5,7)", P235)
     assert r.e_pi == NO  # 5 divides |SL5(7)| but the block conditions fail
 
 
@@ -172,22 +155,22 @@ def test_linear_unitary_existence_failure():
 
 
 def test_symplectic_examples():
-    r = classify_symplectic(4, 7, P23, variant="isometry")
+    r = rep("Sp(4,7)", P23)
     assert r.k_pi == 2
-    r = classify_symplectic(10, 7, P23, variant="simple")
+    r = rep("PSp(10,7)", P23)
     assert r.k_pi == 4  # k(SL2(7)) = 2, two orbits
-    r = classify_symplectic(10, 23, P23, variant="simple")
+    r = rep("PSp(10,23)", P23)
     assert r.k_pi == 9  # k(SL2(23)) = 3, two orbits
-    r = classify_symplectic(4, 7, P235, variant="isometry")
+    r = rep("Sp(4,7)", P235)
     assert r.e_pi == NO  # 5 divides |Sp4(7)| but not q^2-1
 
 
 def test_symplectic_nine_requires_conditions():
-    r = classify_symplectic(10, 23, P23, variant="simple")
+    r = rep("PSp(10,23)", P23)
     assert pi_part(23**2 - 1, (2, 3)) == 48
     assert r.k_pi == 9
     # n = 4 never reaches 9: only one orbit
-    r = classify_symplectic(8, 23, P23, variant="simple")
+    r = rep("PSp(8,23)", P23)
     assert r.k_pi == 3  # Sym(4) Hall is transitive: t = 1
 
 
@@ -197,8 +180,8 @@ def test_symplectic_nine_requires_conditions():
 
 def test_orthogonal_dim3_matches_sl2():
     for q in (5, 7, 11, 13):
-        table = classify_orthogonal(3, q, None, P23, variant="isometry")
-        psl = classify_sl2(q, P23, projective=True)
+        table = rep(f"O(3,{q})", P23)
+        psl = rep(f"PSL(2,{q})", P23)
         assert table.k_pi == psl.k_pi, q
         assert table.hall_order == psl.hall_order
         assert table.e_pi == psl.e_pi
@@ -206,55 +189,59 @@ def test_orthogonal_dim3_matches_sl2():
 
 def test_orthogonal_dim5_matches_symplectic():
     for q in (5, 7, 11, 13):
-        table = classify_orthogonal(5, q, None, P23, variant="isometry")
-        sp = classify_symplectic(4, q, P23, variant="simple")
+        table = rep(f"O(5,{q})", P23)
+        sp = rep(f"PSp(4,{q})", P23)
         assert table.k_pi == sp.k_pi, q
         assert table.hall_order == sp.hall_order, q
 
 
 def test_orthogonal_dim6_matches_linear_unitary():
     for q in (5, 7, 11, 13):
-        for eta in (1, -1):
-            table = classify_orthogonal(6, q, eta, P23, variant="isometry")
-            lu = classify_linear_unitary(4, q, eta, P23, variant="isometry")
-            assert table.k_pi == lu.k_pi, (q, eta)
-            assert 2 * table.hall_order == lu.hall_order, (q, eta)
+        for sign, partner in (("+", "SL"), ("-", "SU")):
+            table = rep(f"O{sign}(6,{q})", P23)
+            lu = rep(f"{partner}(4,{q})", P23)
+            assert table.k_pi == lu.k_pi, (q, sign)
+            assert 2 * table.hall_order == lu.hall_order, (q, sign)
 
 
 def test_orthogonal_dim4_minus_matches_psl2_squared():
     for q in (5, 7, 11, 13):
-        table = classify_orthogonal(4, q, -1, P23, variant="isometry")
-        psl = classify_sl2(q * q, P23, projective=True)
+        table = rep(f"O-(4,{q})", P23)
+        psl = rep(f"PSL(2,{q * q})", P23)
         assert table.k_pi == psl.k_pi, q
         assert table.hall_order == psl.hall_order, q
 
 
 def test_orthogonal_dim4_plus_is_sl2_square():
     for q in (5, 7, 11, 13, 23):
-        table = classify_orthogonal(4, q, 1, P23, variant="isometry")
-        k = classify_sl2(q, P23, projective=False).k_pi
+        table = rep(f"O+(4,{q})", P23)
+        k = rep(f"SL(2,{q})", P23).k_pi
         assert table.k_pi == k * k, q
     # the icosahedral analogue: q = 61 pairs the dihedral and binary-icosahedral types
-    table = classify_orthogonal(4, 61, 1, P235, variant="isometry")
-    k = classify_sl2(61, P235, projective=False).k_pi
+    table = rep("O+(4,61)", P235)
+    k = rep("SL(2,61)", P235).k_pi
     assert k == 3 and table.k_pi == 9
 
 
 def test_orthogonal_dim2():
-    r = classify_orthogonal(2, 7, 1, P23, variant="isometry")
+    r = rep("O+(2,7)", P23)  # cyclic of order 3: pi covers it
     assert (r.k_pi, r.c_pi, r.d_pi) == (1, YES, YES)
     assert r.hall_order == pi_part((7 - 1) // 2, (2, 3))
+    r = rep("O+(2,61)", P23)  # cyclic of order 30: the table row
+    assert (r.k_pi, r.c_pi, r.d_pi) == (1, YES, YES)
+    assert r.classes[0].case_id == "orthogonal2.a"
+    assert r.hall_order == pi_part((61 - 1) // 2, (2, 3))
 
 
 def test_orthogonal_dim12_minus():
-    r = classify_orthogonal(12, 13, -1, P23, variant="isometry")
+    r = rep("O-(12,13)", P23)
     assert r.k_pi == 3
     by_case = {c.case_id: c.class_count for c in r.classes}
     assert by_case == {"orthogonal.c": 1, "orthogonal.e": 2}
 
 
 def test_orthogonal_dim11():
-    r = classify_orthogonal(11, 13, None, P23, variant="isometry")
+    r = rep("O(11,13)", P23)
     assert r.k_pi == 2
     assert {c.case_id for c in r.classes} == {"orthogonal.a", "orthogonal.d"}
 
@@ -262,31 +249,31 @@ def test_orthogonal_dim11():
 def test_orthogonal_exotic_constants():
     # q = 173 satisfies all the prime-part conditions in dimensions 7, 8, 9
     pi = PrimeSet((2, 3, 5, 7))
-    r = classify_orthogonal(7, 173, None, pi, variant="isometry")
+    r = rep("O(7,173)", pi)
     assert r.k_pi == 2
     assert r.classes[0].structure == "Omega7(2)"
     assert r.hall_order == 2**9 * 3**4 * 5 * 7
-    r = classify_orthogonal(8, 173, 1, pi, variant="isometry")
+    r = rep("O+(8,173)", pi)
     assert r.k_pi == 4
     assert r.classes[0].structure == "2.Omega8+(2)"
-    r = classify_orthogonal(8, 173, 1, pi, variant="simple")
+    r = rep("PO+(8,173)", pi)
     assert r.k_pi == 4
     assert r.classes[0].structure == "Omega8+(2)"
     assert r.hall_order == 2**12 * 3**5 * 5**2 * 7
-    r = classify_orthogonal(9, 173, None, pi, variant="isometry")
+    r = rep("O(9,173)", pi)
     assert r.k_pi == 2
     assert r.classes[0].structure == "2.Omega8+(2).2"
     # q = 13 fails the 7-part condition (7 divides q^2 - 1)
-    r = classify_orthogonal(7, 13, None, pi, variant="isometry")
+    r = rep("O(7,13)", pi)
     assert all(c.case_id != "orthogonal.f" for c in r.classes)
 
 
 def test_orthogonal_torus_cases_large():
-    r = classify_orthogonal(8, 13, 1, P23, variant="isometry")
+    r = rep("O+(8,13)", P23)
     assert r.k_pi == 1
     assert r.classes[0].case_id == "orthogonal.b"
     # wrong sign: eta must be eps^m
-    r = classify_orthogonal(8, 13, -1, P23, variant="isometry")
+    r = rep("O-(8,13)", P23)
     assert all(c.case_id != "orthogonal.b" for c in r.classes)
 
 
@@ -295,41 +282,41 @@ def test_orthogonal_torus_cases_large():
 
 
 def test_g2_exotic():
-    r = classify_exceptional("G2", 11, None, PrimeSet((2, 3, 7)))
+    r = rep("G2(11)", (2, 3, 7))
     assert r.k_pi == 1
     assert r.classes[0].structure == "G2(2)"
     assert r.hall_order == 12096
 
 
 def test_g2_torus():
-    r = classify_exceptional("G2", 13, None, P23)
+    r = rep("G2(13)", P23)
     assert r.k_pi == 1
     assert r.classes[0].case_id == "g2.b"
 
 
 def test_f4_torus():
-    r = classify_exceptional("F4", 13, None, P23)
+    r = rep("F4(13)", P23)
     assert r.k_pi == 1
 
 
 def test_e7_needs_5_and_7():
-    r = classify_exceptional("E7", 13, None, P23)
+    r = rep("E7(13)", P23)
     assert r.e_pi == NO
     # q = 421: q - eps = 420 = 2^2 3 5 7
-    r = classify_exceptional("E7", 421, None, PrimeSet((2, 3, 5, 7)))
+    r = rep("E7(421)", (2, 3, 5, 7))
     assert r.k_pi == 1
 
 
 def test_e6_five_condition():
     # eta = eps needs 5 in pi; q=13: eps=+1, q-1=12
-    r = classify_exceptional("E6", 13, 1, P23)
+    r = rep("E6(13)", P23)
     assert r.e_pi == NO
-    r = classify_exceptional("E6", 13, -1, P23)
+    r = rep("E6(13,-)", P23)
     assert r.k_pi == 1
 
 
 def test_3d4_torus():
-    r = classify_exceptional("3D4", 13, None, P23)
+    r = rep("3D4(13)", P23)
     assert r.k_pi == 1
 
 
@@ -349,8 +336,8 @@ def test_sym_cases():
 def test_alt_mirrors_sym():
     for n in range(5, 13):
         for pi in (P23, P235):
-            s = classify_sym(n, pi)
-            a = classify_alt(n, pi)
+            s = classify(GroupSpec(SYM, n=n, variant=ISOMETRY), pi)
+            a = classify(GroupSpec(ALT, n=n), pi)
             assert s.e_pi == a.e_pi, (n, pi)
             assert s.k_pi == a.k_pi
             if s.e_pi == YES and 2 in pi:
@@ -378,26 +365,26 @@ def test_sym_hall_orbit_counts():
 
 
 def test_sporadic_table_rows():
-    r = classify_sporadic("M11", P23)
+    r = rep("M11", P23)
     assert r.k_pi == 1 and r.classes[0].structure == "3^2:Q8.2"
     assert r.hall_order == 144
-    r = classify_sporadic("M23", P235)
+    r = rep("M23", P235)
     assert r.k_pi == 2
-    r = classify_sporadic("J1", P23)
+    r = rep("J1", P23)
     assert r.classes[0].structure == "2 x Alt(4)"
-    r = classify_sporadic("M23", PrimeSet((2, 3, 5, 7, 11)))
+    r = rep("M23", (2, 3, 5, 7, 11))
     assert r.k_pi == 1 and r.classes[0].structure == "M22"
 
 
 def test_sporadic_completeness_no_rows():
-    r = classify_sporadic("M12", P23)
+    r = rep("M12", P23)
     assert r.e_pi == NO
-    r = classify_sporadic("Co1", P235)
+    r = rep("Co1", P235)
     assert r.e_pi == NO
 
 
 def test_sporadic_j1_two_seven():
-    r = classify_sporadic("J1", PrimeSet((2, 7)))
+    r = rep("J1", (2, 7))
     assert r.k_pi == 1 and r.classes[0].structure == "2^3:7"
     assert r.hall_order == 56
 

@@ -230,3 +230,31 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["k_pi"] == 1
+
+
+def test_verify_gl2_over_gf2(capsys):
+    # GF(2)* is trivial, so its primitive root is 1
+    code, out, err = run_cli(["verify", "--instance", "GL(2,2):2,3"], capsys)
+    assert code == EXIT_OK and err == ""
+    assert out.startswith("[PASS] GL(2,2):2,3: hall_order=6 classes=1")
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--instance", "PGL(2,11):2,3"],
+    ["classify", "--group", "PGU(3,5)", "--pi", "2,3"],
+])
+def test_projective_general_heads_are_not_read_as_general(command, capsys):
+    # |PGL(2,11)|_{2,3} = 24, where GL(2,11) answers 48: no PGL spec exists yet
+    code, out, err = run_cli(command, capsys)
+    assert code == EXIT_PARSE
+    assert out == "" and len(err.splitlines()) == 1 and "unknown group head" in err
+
+
+def test_wreath_refuses_a_count_too_long_to_print(capsys):
+    # 2^20011 has about 6,024 digits, over the default limit of 4,300
+    code, out, err = run_cli(["wreath", "--k", "2", "--p", "20011"], capsys)
+    assert code == EXIT_PARSE
+    assert out == "" and len(err.splitlines()) == 1 and "digit" in err
+    # 14281 is the largest prime p with p * log10(2) under that limit
+    code, out, _ = run_cli(["wreath", "--k", "2", "--p", "14281"], capsys)
+    assert code == EXIT_OK and out.startswith("k_pi(base wr Z(14281)) = ")

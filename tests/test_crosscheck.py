@@ -10,7 +10,7 @@ import pytest
 
 from pihall.arith import PrimeSet
 from pihall.bruteforce import build_group, find_hall_subgroups
-from pihall.classify import classify, classify_gl2, classify_sl2
+from pihall.classify import classify
 from pihall.groups import parse_group
 
 SL2_CASES = [
@@ -26,7 +26,7 @@ SL2_CASES = [
 def test_sl2_extremes(kind, q, pi, k, hall):
     g = build_group(kind, q)
     census = find_hall_subgroups(g, pi)
-    report = classify_sl2(q, PrimeSet(pi), projective=(kind == "PSL2"))
+    report = classify(parse_group(f"{'PSL' if kind == 'PSL2' else 'SL'}(2,{q})"), PrimeSet(pi))
     assert census.class_count == k == report.k_pi
     assert census.hall_order == hall == report.hall_order
     assert census.exhaustive
@@ -44,7 +44,7 @@ GL2_CASES = [
 def test_gl2_census(q, pi, k, hall):
     g = build_group("GL2", q)
     census = find_hall_subgroups(g, pi)
-    report = classify_gl2(q, 1, PrimeSet(pi))
+    report = classify(parse_group(f"GL(2,{q})"), PrimeSet(pi))
     assert census.class_count == k == report.k_pi
     assert census.hall_order == hall == report.hall_order
 
@@ -93,12 +93,10 @@ def test_omega4_plus_table_row():
     # independent model of the central-product group behind the
     # 4-dimensional table; q = 7 (k = 4, hall 1152) checks out too but
     # takes minutes, so only q = 5 stays in the suite
-    from pihall.classify import classify_orthogonal
-
     g = omega4_plus(5)
     assert g.order == 7200
     census = find_hall_subgroups(g, (2, 3))
-    report = classify_orthogonal(4, 5, 1, PrimeSet((2, 3)), variant="isometry")
+    report = classify(parse_group("O+(4,5)"), PrimeSet((2, 3)))
     assert census.class_count == report.k_pi == 1
     assert census.hall_order == report.hall_order == 288
 

@@ -11,6 +11,8 @@ import pathlib
 
 import pytest
 
+from pihall.arith import PrimeSet, factorize
+from pihall.classify import classify
 from pihall.cli import (
     DEFAULT_PI_LIST,
     default_grid_specs,
@@ -20,6 +22,7 @@ from pihall.cli import (
     report_to_dict,
     run_sweep,
 )
+from pihall.groups import parse_group, validate
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -69,6 +72,43 @@ def test_default_sweep_reports_hash():
     reports, _ = run_sweep(default_grid_specs(), [parse_pi(t) for t in DEFAULT_PI_LIST])
     text = "".join(render_json(report_to_dict(r)) for r in reports)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DEFAULT_SWEEP_REPORTS_SHA256
+
+
+def pinned_variant_names():
+    """Variants the default grid leaves out: SL/SU, GL/GU, Sp and O at the
+    isometry level, and PO+(8,q), over the odd prime powers up to 49, 61 and 173."""
+    qs = [q for q in range(3, 50, 2) if len(factorize(q).factors) == 1] + [61, 173]
+    names = []
+    for q in qs:
+        for n in range(2, 13):
+            names += [f"SL({n},{q})", f"SU({n},{q})"]
+        names += [f"GL(2,{q})", f"GL(2,{q},-)"]
+        names += [f"Sp({n},{q})" for n in range(4, 13, 2)]
+        for n in range(2, 13):
+            names += [f"O({n},{q})"] if n % 2 else [f"O+({n},{q})", f"O-({n},{q})"]
+        names.append(f"PO+(8,{q})")
+    return names
+
+
+# the pinned variants under the default prime sets and {2,3,5,7,11}, then the
+# two small Ree groups with pi = {2,7}, as JSON reports concatenated
+PINNED_VARIANTS_SHA256 = "b3a07ec4d53391bb4e6f64dfaa1f4cda3a42bf7d2fa5a94c6bef3b3527deba97"
+
+
+def test_pinned_variants_reports_hash():
+    names = pinned_variant_names()
+    assert len(names) == 940
+    pis = [parse_pi(t) for t in DEFAULT_PI_LIST + ["2,3,5,7,11"]]
+    text = "".join(
+        render_json(report_to_dict(classify(validate(parse_group(name)), pi)))
+        for name in names
+        for pi in pis
+    )
+    text += "".join(
+        render_json(report_to_dict(classify(parse_group(name), PrimeSet((2, 7)))))
+        for name in ("2G2(27)", "2G2(19683)")
+    )
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_VARIANTS_SHA256
 
 
 def test_out_flag_matches_stdout(tmp_path, capsys):

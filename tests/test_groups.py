@@ -2,8 +2,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pihall.arith import pi_part
-from pihall.classify import _gpi
+from pihall.arith import PrimeSet, pi_part
+from pihall.classify import _query
 from pihall.groups import (
     E6,
     GENERAL,
@@ -197,4 +197,4 @@ def test_order_value_matches_its_factorization(spec, pi):
     assert all(g % r == 0 for r in spectrum)
     assert pi_part(g, spectrum) == g
     # the classifier's divisibility test agrees with the factored spectrum
-    assert _gpi(spec, pi) == frozenset(pi) & prime_spectrum(spec)
+    assert _query(spec, PrimeSet(pi)).gpi == frozenset(pi) & prime_spectrum(spec)
