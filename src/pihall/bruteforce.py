@@ -21,7 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat, takewhile
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from pihall.arith import factorize, is_prime, pi_part
 from pihall.classify import HallReport, YES
@@ -37,7 +39,10 @@ from pihall.groups import (
     validate,
 )
 
-Element = Tuple[int, ...]
+# A permutation is the bytes string of its point images (so at most 256
+# points); a 2x2 matrix mod p is the tuple (a, b, c, d).  Both sort and
+# hash by their entries, and list(x) gives the entries either way.
+Element = Union[bytes, Tuple[int, ...]]
 
 
 class BudgetExceeded(RuntimeError):
@@ -60,7 +65,7 @@ DEFAULT_BUDGET = Budget()
 
 @dataclass
 class ConcreteGroup:
-    """An explicit finite group with canonical element tuples."""
+    """An explicit finite group with canonical elements (see Element)."""
 
     name: str
     kind: str
@@ -80,7 +85,7 @@ class ConcreteGroup:
         """The order of x, cached for every power of x by one walk x, x^2, ..., 1.
 
         x^i has order n / gcd(i, n).  The cache starts with every element as
-        a key, so storing a power keeps the canonical tuple, not the walk's.
+        a key, so storing a power keeps the canonical element, not the walk's.
         """
         orders = self._orders
         if not orders:
@@ -152,9 +157,12 @@ class CensusReport:
 # group construction
 
 
-def _perm_mul(a: Element, b: Element) -> Element:
-    # apply b first, then a
-    return tuple(map(a.__getitem__, b))
+def _perm_mul(a: Sequence[int], b: bytes) -> bytes:
+    """The product a*b (apply b first, then a): b's images relabelled by a.
+
+    a may be any sequence of point images, b must be bytes.
+    """
+    return b.translate(bytes(a).ljust(256))
 
 
 def _mat_mul_mod(p: int):
@@ -256,33 +264,36 @@ def _primitive_root(p: int) -> int:
 def build_group(kind: str, param: int, budget: Budget = DEFAULT_BUDGET) -> ConcreteGroup:
     """Build one of SL2(p), PSL2(p), GL2(p), PGL2(p), Sym(n), Alt(n) explicitly.
 
-    Matrix kinds need a prime p (prime fields only); permutation kinds a
-    degree n.  The resulting order must fit the budget.
+    Matrix kinds need a prime p (prime fields only) and hold each element
+    as the tuple (a, b, c, d); permutation kinds need a degree n and hold
+    each element as the bytes of its point images.  The resulting order
+    must fit the budget.
     """
     kind = kind.upper()
     if kind in ("SYM", "ALT"):
         n = param
         if math.factorial(n) // (1 if kind == "SYM" else 2) > budget.max_group_order:
             raise BudgetExceeded(f"{kind}({n}) exceeds the group-order budget")
-        identity = tuple(range(n))
+        identity = bytes(range(n))
         if kind == "SYM":
             gens = [
-                tuple([1, 0] + list(range(2, n))),
-                tuple(list(range(1, n)) + [0]) if n > 1 else identity,
+                bytes([1, 0] + list(range(2, n))),
+                bytes(list(range(1, n)) + [0]) if n > 1 else identity,
             ]
             spec = GroupSpec(SYM, n=n, variant=ISOMETRY)
         else:
-            three = tuple([1, 2, 0] + list(range(3, n)))
+            three = bytes([1, 2, 0] + list(range(3, n)))
             if n % 2 == 1:
-                cyc = tuple(list(range(1, n)) + [0])
+                cyc = bytes(list(range(1, n)) + [0])
             else:
-                cyc = tuple([0] + list(range(2, n)) + [1])
+                cyc = bytes([0] + list(range(2, n)) + [1])
             gens = [three, cyc] if n > 3 else [three]
             spec = GroupSpec(ALT, n=n, variant=SIMPLE if n >= 5 else ISOMETRY)
+        spec = validate(spec)  # before the closure: it refuses the degrees too small for gens
         gens = [g for g in gens if g != identity]
         elements = _closure(gens, _perm_mul, identity, budget.max_group_order)
         g = ConcreteGroup(f"{kind.capitalize()}({n})", kind, elements, _perm_mul,
-                          identity, gens, spec=validate(spec))
+                          identity, gens, spec=spec)
         _check_order(g)
         return g
 
@@ -325,7 +336,10 @@ def build_group(kind: str, param: int, budget: Budget = DEFAULT_BUDGET) -> Concr
 
 
 def psl3_3_points() -> ConcreteGroup:
-    """PSL3(3) in its permutation action on the 13 points of the projective plane."""
+    """PSL3(3) in its permutation action on the 13 points of the projective plane.
+
+    Each element is the bytes of its point images, as for Sym and Alt.
+    """
     p = 3
     points: List[Tuple[int, int, int]] = []
     seen = set()
@@ -355,10 +369,10 @@ def psl3_3_points() -> ConcreteGroup:
                 m[6] * pt[0] + m[7] * pt[1] + m[8] * pt[2],
             )
             out[i] = index[normalize(tuple(x % p for x in img))]
-        return tuple(out)
+        return bytes(out)
 
     gens = [mat_perm((1, 1, 0, 0, 1, 0, 0, 0, 1)), mat_perm((0, 0, 1, 1, 0, 0, 0, 1, 0))]
-    identity = tuple(range(len(points)))
+    identity = bytes(range(len(points)))
     elements = _closure(gens, _perm_mul, identity, 10_000)
     g = ConcreteGroup("PSL3(3)", "PERM", elements, _perm_mul, identity, gens,
                       spec=validate(GroupSpec(LINEAR_UNITARY, n=3, q=3, eta=1, variant=SIMPLE)))
@@ -508,16 +522,6 @@ def conjugacy_classes_of_subgroups(
     return sorted(classes, key=lambda cls: sorted(cls[0].elements))
 
 
-def conjugacy_class_count(
-    g: ConcreteGroup, subgroups: Sequence[SubgroupHandle]
-) -> List[List[SubgroupHandle]]:
-    """Spec-facing wrapper: partition handles into conjugacy classes."""
-    by_set = {h.elements: h for h in subgroups}
-    classes = conjugacy_classes_of_subgroups(
-        g, {s: h.generator_witness for s, h in by_set.items()})
-    return [[by_set.get(h.elements, h) for h in cls] for cls in classes]
-
-
 def find_hall_subgroups(
     g: ConcreteGroup,
     pi: Sequence[int],
@@ -615,25 +619,33 @@ def pi_subgroup_lattice(
     conjugacy class: each is joined with every cyclic seed <x>, and a new
     join adds its whole conjugacy orbit but only itself to the frontier.
     Nothing is lost, since the seeds are closed under conjugation and
-    <H^c, x> = <H, x^(c^-1)>^c.  Budget.max_closure_steps counts the joins
-    tried from these representatives.  This is the expensive search; the
-    Hall census above does not depend on it.
+    <H^c, x> = <H, x^(c^-1)>^c.  Each seed is closed once, from its first
+    generator, and the trivial subgroup joins nothing, since its joins are
+    the seeds.  Budget.max_closure_steps counts the joins tried from the
+    other representatives.  This is the expensive search; the Hall census
+    above does not depend on it.
     """
     pi = tuple(sorted(set(pi)))
     # every pi-subgroup has order dividing |G|_pi
     cap = pi_part(g.order, pi)
-    # each cyclic seed <x> with its generator x; found maps to generators
+    # each cyclic seed <x> with its first generator x; found maps to generators
     seeds: Dict[FrozenSet[Element], Element] = {}
     elems = _orders_dividing(g, cap)
     admissible = frozenset(elems)
+    generated: set = set()  # the generators of the seeds built so far
     for x in elems:  # <x> has order dividing cap
-        seeds.setdefault(subgroup_closure(g, [x], cap), x)
+        if x in generated:
+            continue
+        seed = subgroup_closure(g, [x], cap)
+        seeds[seed] = x
+        generated.update(y for y in seed if g.element_order(y) == len(seed))
     found: Dict[FrozenSet[Element], Tuple[Element, ...]] = {}
     frontier = []
     for sub, x in seeds.items():
         if sub not in found:
             found.update(_conjugacy_orbit(g, sub, (x,)))
-            frontier.append(sub)
+            if len(sub) > 1:
+                frontier.append(sub)
     steps = 0
     while frontier:
         nxt = []
@@ -763,20 +775,3 @@ def verify_report(
         )
     return VerificationOutcome(checks)
 
-
-def center_quotient_hall_match(
-    sl2: ConcreteGroup, psl2: ConcreteGroup, pi: Sequence[int],
-    budget: Budget = DEFAULT_BUDGET,
-) -> bool:
-    """Every Hall subgroup of the quotient is the image of a Hall subgroup.
-
-    Maps SL2(p) Hall subgroups through the center quotient and compares
-    the resulting element sets with the PSL2(p) census.
-    """
-    p = sl2.spec.q
-    project = _scalar_canonical(p, [1, p - 1])
-    up = find_hall_subgroups(sl2, pi, budget)
-    down = find_hall_subgroups(psl2, pi, budget)
-    images = {frozenset(project(x) for x in h.elements) for h in up.halls_found}
-    targets = {h.elements for h in down.halls_found}
-    return images == targets

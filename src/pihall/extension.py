@@ -1,18 +1,17 @@
 """Class-count calculators for wreath-type extensions.
 
 A group with k classes of Hall subgroups, wreathed by a cyclic top of
-prime order p (p outside pi), has (k^p + (p-1)k)/p classes; wreathed by a
-Hall top with t orbits it has k^t.  A direct Burnside orbit counter over
-explicitly generated permutation groups cross-checks both.
+prime order p (p outside pi), has (k^p + (p-1)k)/p classes.  A direct
+Burnside orbit counter over explicitly generated permutation groups
+cross-checks it.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import List, Sequence, Tuple
 
 from pihall.arith import is_prime
-from pihall.bruteforce import BudgetExceeded, _closure, _perm_mul
+from pihall.bruteforce import _closure, _perm_mul
 
 DEFAULT_CLOSURE_BUDGET = 10_000
 
@@ -29,24 +28,22 @@ def kpi_wreath_cyclic(k: int, p: int) -> int:
     return total // p
 
 
-def kpi_wreath_orbits(k: int, t: int) -> int:
-    """k^t: class count under a Hall top with t orbits."""
-    if k < 1 or t < 1:
-        raise ValueError("k and t must be >= 1")
-    return k**t
-
-
 def close_permutations(
     perms: Sequence[Tuple[int, ...]], budget: int = DEFAULT_CLOSURE_BUDGET
 ) -> List[Tuple[int, ...]]:
-    """Close a set of permutations of {0..n-1} under composition."""
+    """Close a set of permutations of {0..n-1}, n <= 256, under composition.
+
+    The closure runs on bytes elements, as the census's permutation groups
+    do; the result is the sorted list of the group's elements as tuples.
+    """
     if not perms:
         raise ValueError("need at least one permutation")
     n = len(perms[0])
     for g in perms:
         if sorted(g) != list(range(n)):
             raise ValueError(f"{g} is not a permutation of 0..{n - 1}")
-    return _closure(perms, _perm_mul, tuple(range(n)), budget)
+    elements = _closure([bytes(g) for g in perms], _perm_mul, bytes(range(n)), budget)
+    return [tuple(x) for x in elements]
 
 
 def cycle_count(perm: Tuple[int, ...]) -> int:
@@ -78,25 +75,6 @@ def burnside_orbits(
     total = sum(k ** cycle_count(g) for g in group)
     assert total % len(group) == 0
     return total // len(group)
-
-
-def enumerate_orbits_directly(
-    k: int, perms: Sequence[Tuple[int, ...]], budget: int = DEFAULT_CLOSURE_BUDGET
-) -> int:
-    """Count coloring orbits by explicit enumeration (test oracle for burnside)."""
-    group = close_permutations(perms, budget)
-    n = len(group[0])
-    if k**n > budget * 100:
-        raise BudgetExceeded("too many colorings to enumerate")
-    seen = set()
-    orbits = 0
-    for coloring in product(range(k), repeat=n):
-        if coloring in seen:
-            continue
-        orbits += 1
-        for g in group:
-            seen.add(tuple(coloring[g[i]] for i in range(n)))
-    return orbits
 
 
 def cyclic_perm(n: int) -> Tuple[int, ...]:

@@ -1,5 +1,6 @@
 from functools import lru_cache
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,7 @@ from pihall.bruteforce import (
     _perm_mul,
     _scalar_canonical,
     build_group,
-    center_quotient_hall_match,
-    conjugacy_class_count,
+    conjugacy_classes_of_subgroups,
     find_dpi_counterexample,
     find_hall_subgroups,
     pi_subgroup_lattice,
@@ -47,6 +47,10 @@ def test_build_group_errors():
         build_group("SYM", 9)
     with pytest.raises(ValueError):
         build_group("WAT", 5)
+    # the standard generators need 2 points for Sym and 3 for Alt
+    for kind, n in [("SYM", 0), ("SYM", 1), ("ALT", 0), ("ALT", 2)]:
+        with pytest.raises(ValueError):
+            build_group(kind, n)
 
 
 def test_sylow_subgroup():
@@ -105,6 +109,14 @@ def test_census_invariant_under_generating_set():
     assert {h.elements for h in c1.halls_found} == {h.elements for h in c2.halls_found}
 
 
+def conjugacy_class_count(g, subgroups):
+    """Partition Hall handles into conjugacy classes, keeping the handles given."""
+    by_set = {h.elements: h for h in subgroups}
+    classes = conjugacy_classes_of_subgroups(
+        g, {s: h.generator_witness for s, h in by_set.items()})
+    return [[by_set.get(h.elements, h) for h in cls] for cls in classes]
+
+
 def test_conjugacy_class_count_wrapper():
     g = build_group("SYM", 4)
     census = find_hall_subgroups(g, (2,))
@@ -132,6 +144,21 @@ def test_verify_report_pass_and_fail():
     assert not outcome.passed
     fields = {f for f, _, _, ok in outcome.checks if not ok}
     assert "k_pi" in fields
+
+
+def center_quotient_hall_match(sl2, psl2, pi):
+    """Every Hall subgroup of PSL2(p) is the image of a Hall subgroup of SL2(p).
+
+    Maps the SL2(p) Hall subgroups through the center quotient and compares
+    the resulting element sets with the PSL2(p) census.
+    """
+    p = sl2.spec.q
+    project = _scalar_canonical(p, [1, p - 1])
+    up = find_hall_subgroups(sl2, pi)
+    down = find_hall_subgroups(psl2, pi)
+    images = {frozenset(project(x) for x in h.elements) for h in up.halls_found}
+    targets = {h.elements for h in down.halls_found}
+    return images == targets
 
 
 def test_quotient_map_preserves_halls():
@@ -211,12 +238,41 @@ def test_partial_census_decides_no_count(kind, p):
 
 
 def test_closure_is_a_group():
-    elements = _closure([(1, 0, 2, 3), (1, 2, 3, 0)], _perm_mul, (0, 1, 2, 3), 100)
+    elements = _closure([bytes((1, 0, 2, 3)), bytes((1, 2, 3, 0))], _perm_mul,
+                        bytes((0, 1, 2, 3)), 100)
     assert len(elements) == 24
     members = set(elements)
     for a in elements[:6]:
         for b in elements[:6]:
             assert _perm_mul(a, b) in members
+
+
+@st.composite
+def permutation_pairs(draw):
+    n = draw(st.integers(1, 13))
+    a, b = (draw(st.permutations(range(n))) for _ in range(2))
+    return a, b, draw(st.sampled_from([bytes, tuple]))
+
+
+@given(permutation_pairs())
+@settings(max_examples=300, deadline=None)
+def test_perm_mul_is_composition(case):
+    # apply b first, then a; the left operand may be bytes or a tuple
+    a, b, left = case
+    assert _perm_mul(left(a), bytes(b)) == bytes(a[k] for k in b)
+
+
+@given(st.sampled_from([("SYM", n) for n in range(2, 7)] + [("ALT", n) for n in range(3, 7)]))
+@settings(max_examples=20, deadline=None)
+def test_permutation_group_elements_match_tuple_closure(case):
+    g = _small_group(*case)
+    as_tuples = [tuple(x) for x in g.elements]
+    assert all(type(x) is bytes for x in g.elements)
+    assert as_tuples == sorted(as_tuples)
+    # the reference closes the same generators as tuples, composed a[b[k]]
+    tuples = SimpleNamespace(identity=tuple(g.identity),
+                             mul=lambda a, b: tuple(a[k] for k in b))
+    assert set(as_tuples) == _bfs_closure(tuples, [tuple(x) for x in g.generators])
 
 
 def _bfs_closure(g, gens):

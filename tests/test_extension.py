@@ -1,16 +1,40 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pihall.bruteforce import BudgetExceeded
 from pihall.extension import (
-    BudgetExceeded,
     burnside_orbits,
     close_permutations,
     cyclic_perm,
-    enumerate_orbits_directly,
     kpi_wreath_cyclic,
-    kpi_wreath_orbits,
 )
+
+
+def kpi_wreath_orbits(k, t):
+    """k^t: the class count under a Hall top with t orbits."""
+    if k < 1 or t < 1:
+        raise ValueError("k and t must be >= 1")
+    return k**t
+
+
+def enumerate_orbits_directly(k, perms, budget=10_000):
+    """Count coloring orbits by explicit enumeration: the oracle for burnside_orbits."""
+    group = close_permutations(perms, budget)
+    n = len(group[0])
+    if k**n > budget * 100:
+        raise BudgetExceeded("too many colorings to enumerate")
+    seen = set()
+    orbits = 0
+    for coloring in product(range(k), repeat=n):
+        if coloring in seen:
+            continue
+        orbits += 1
+        for g in group:
+            seen.add(tuple(coloring[g[i]] for i in range(n)))
+    return orbits
 
 
 def test_wreath_cyclic_examples():
