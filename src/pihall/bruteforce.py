@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, repeat, takewhile
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    Union,
 )
 
 from pihall.arith import factorize, is_prime, pi_part
@@ -43,6 +45,11 @@ from pihall.groups import (
 # points); a 2x2 matrix mod p is the tuple (a, b, c, d).  Both sort and
 # hash by their entries, and list(x) gives the entries either way.
 Element = Union[bytes, Tuple[int, ...]]
+
+# A batch kernel: kernel(a, block) yields the products a*x for the x in
+# block, in order.  It must read block lazily, one item at a time, since a
+# power walk appends to block while the kernel reads it.
+Kernel = Callable[[Element, Iterable[Element]], Iterator[Element]]
 
 
 class BudgetExceeded(RuntimeError):
@@ -74,6 +81,9 @@ class ConcreteGroup:
     identity: Element
     generators: List[Element]
     spec: Optional[GroupSpec] = None
+    # the batch kernel for this element type, set by the builder; without
+    # one, products() calls mul once per element
+    mul_all: Optional[Kernel] = field(default=None, repr=False)
     _orders: Dict[Element, int] = field(default_factory=dict, repr=False)
     _inverses: Dict[Element, Element] = field(default_factory=dict, repr=False)
 
@@ -81,39 +91,51 @@ class ConcreteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def element_order(self, x: Element) -> int:
-        """The order of x, cached for every power of x by one walk x, x^2, ..., 1.
+    def products(self, a: Element, block: Iterable[Element]) -> Iterator[Element]:
+        """The products a*x for the x in block, lazily and in block's order."""
+        if self.mul_all is None:
+            return _mul_each(self.mul, a, block)
+        return self.mul_all(a, block)
 
-        x^i has order n / gcd(i, n).  The cache starts with every element as
+    def _powers(self, x: Element) -> List[Element]:
+        """x, x^2, ..., 1: each power is x*x^i, the kernel reading the list as it grows."""
+        powers = [x]
+        if x != self.identity:
+            for y in self.products(x, powers):
+                powers.append(y)
+                if y == self.identity:
+                    break
+        return powers
+
+    def order_table(self) -> Dict[Element, int]:
+        """The order of every element, filled in one sweep on first use.
+
+        The sweep makes one power walk x, x^2, ..., 1 per cyclic subgroup:
+        x^i has order n / gcd(i, n).  The table starts with every element as
         a key, so storing a power keeps the canonical element, not the walk's.
         """
         orders = self._orders
         if not orders:
             orders = self._orders = dict.fromkeys(self.elements, 0)
-        cached = orders.get(x)
-        if cached:
-            return cached
-        powers = [x]
-        while powers[-1] != self.identity:
-            powers.append(self.mul(powers[-1], x))
-        n = len(powers)
-        for i, y in enumerate(powers, 1):
-            orders[y] = n // math.gcd(i, n)
-        return n
+            for x in self.elements:
+                if not orders[x]:
+                    powers = self._powers(x)
+                    n = len(powers)
+                    for i, y in enumerate(powers, 1):
+                        orders[y] = n // math.gcd(i, n)
+        return orders
+
+    def element_order(self, x: Element) -> int:
+        return self.order_table()[x]
 
     def inverse(self, x: Element) -> Element:
         inv = self._inverses.get(x)
         if inv is None:
-            inv = self.identity
-            for _ in range(self.element_order(x) - 1):
-                inv = self.mul(inv, x)
+            powers = self._powers(x)
+            inv = powers[-2] if len(powers) > 1 else x  # x^(n-1), or x = 1
             self._inverses[x] = inv
             self._inverses[inv] = x
         return inv
-
-    def conjugate_set(self, subset: FrozenSet[Element], g: Element) -> FrozenSet[Element]:
-        ginv = self.inverse(g)
-        return frozenset(self.mul(self.mul(ginv, x), g) for x in subset)
 
 
 @dataclass(frozen=True)
@@ -165,6 +187,17 @@ def _perm_mul(a: Sequence[int], b: bytes) -> bytes:
     return b.translate(bytes(a).ljust(256))
 
 
+def _perm_mul_all(a: Sequence[int], block: Iterable[bytes]) -> Iterator[bytes]:
+    """The permutation kernel: a*x for each x in block, one translate table for all."""
+    return map(bytes.translate, block, repeat(bytes(a).ljust(256)))
+
+
+def _mul_each(mul: Callable[[Element, Element], Element], a: Element,
+              block: Iterable[Element]) -> Iterator[Element]:
+    """The default kernel: a*x for each x in block, one mul call each."""
+    return map(mul, repeat(a), block)
+
+
 def _mat_mul_mod(p: int):
     def mul(x: Element, y: Element) -> Element:
         a, b, c, d = x
@@ -197,6 +230,7 @@ def _scalar_canonical(p: int, scalars: Sequence[int]):
 
 def _extend(
     mul: Callable[[Element, Element], Element],
+    mul_all: Kernel,
     base: Iterable[Element],
     base_gens: Sequence[Element],
     new_gens: Iterable[Element],
@@ -206,9 +240,10 @@ def _extend(
     """The elements of <base_gens, new_gens>, where base = <base_gens> is known.
 
     Dimino's algorithm: a generator t outside the group H built so far
-    extends H by whole right cosets.  Starting from H*t, each product r*s
-    of a coset representative r and a generator s that lands outside adds
-    the coset H*(r*s), with r*s as its representative.  Returns None as
+    extends H by whole left cosets.  Starting from t*H, each product s*r
+    of a generator s and a coset representative r that lands outside adds
+    the coset (s*r)*H, with s*r as its representative.  The kernel
+    mul_all makes each coset from its one left factor.  Returns None as
     soon as the result would have more than limit elements, or, when an
     admissible set holding base is given, as soon as a new coset holds an
     element outside it.
@@ -222,13 +257,13 @@ def _extend(
             continue
         gens.append(t)
         block = list(elements)
-        reps = []  # grows while the products r*s are walked
-        for y in chain((t,), (mul(r, s) for r in reps for s in gens)):
+        reps = []  # grows while the products s*r are walked
+        for y in chain((t,), (mul(s, r) for r in reps for s in gens)):
             if y in elements:
                 continue
             if len(elements) + len(block) > limit:
                 return None
-            coset = map(mul, block, repeat(y))
+            coset = mul_all(y, block)
             if admissible is not None:  # stop at the first element outside it
                 coset = takewhile(admissible.__contains__, coset)
             coset = list(coset)
@@ -244,8 +279,10 @@ def _closure(
     mul: Callable[[Element, Element], Element],
     identity: Element,
     limit: int,
+    mul_all: Optional[Kernel] = None,
 ) -> List[Element]:
-    elements = _extend(mul, (identity,), (), gens, limit)
+    """The sorted elements of <gens>, through mul_all if given, else mul one by one."""
+    elements = _extend(mul, mul_all or partial(_mul_each, mul), (identity,), (), gens, limit)
     if elements is None:
         raise BudgetExceeded(f"closure exceeded {limit} elements")
     return sorted(elements)
@@ -291,9 +328,9 @@ def build_group(kind: str, param: int, budget: Budget = DEFAULT_BUDGET) -> Concr
             spec = GroupSpec(ALT, n=n, variant=SIMPLE if n >= 5 else ISOMETRY)
         spec = validate(spec)  # before the closure: it refuses the degrees too small for gens
         gens = [g for g in gens if g != identity]
-        elements = _closure(gens, _perm_mul, identity, budget.max_group_order)
+        elements = _closure(gens, _perm_mul, identity, budget.max_group_order, _perm_mul_all)
         g = ConcreteGroup(f"{kind.capitalize()}({n})", kind, elements, _perm_mul,
-                          identity, gens, spec=spec)
+                          identity, gens, spec=spec, mul_all=_perm_mul_all)
         _check_order(g)
         return g
 
@@ -373,9 +410,10 @@ def psl3_3_points() -> ConcreteGroup:
 
     gens = [mat_perm((1, 1, 0, 0, 1, 0, 0, 0, 1)), mat_perm((0, 0, 1, 1, 0, 0, 0, 1, 0))]
     identity = bytes(range(len(points)))
-    elements = _closure(gens, _perm_mul, identity, 10_000)
+    elements = _closure(gens, _perm_mul, identity, 10_000, _perm_mul_all)
     g = ConcreteGroup("PSL3(3)", "PERM", elements, _perm_mul, identity, gens,
-                      spec=validate(GroupSpec(LINEAR_UNITARY, n=3, q=3, eta=1, variant=SIMPLE)))
+                      spec=validate(GroupSpec(LINEAR_UNITARY, n=3, q=3, eta=1, variant=SIMPLE)),
+                      mul_all=_perm_mul_all)
     _check_order(g)
     return g
 
@@ -414,7 +452,7 @@ def subgroup_closure(
         if not gens:
             return frozenset({g.identity})
         base = frozenset({g.identity})
-    elements = _extend(g.mul, base, base_gens, gens, limit, admissible)
+    elements = _extend(g.mul, g.products, base, base_gens, gens, limit, admissible)
     return None if elements is None else frozenset(elements)
 
 
@@ -423,9 +461,8 @@ def _orders_dividing(g: ConcreteGroup, n: int) -> List[Element]:
 
     By Lagrange they hold every subgroup whose order divides n.
     """
-    orders = list(map(g.element_order, g.elements))
-    divides = {o: n % o == 0 for o in set(orders)}
-    return [x for x, o in zip(g.elements, orders) if divides[o]]
+    orders = g.order_table()
+    return [x for x in g.elements if n % orders[x] == 0]
 
 
 def sylow_subgroup(g: ConcreteGroup, r: int) -> FrozenSet[Element]:
@@ -467,7 +504,7 @@ def _generator_witness(
     # <a> is closed once and extended by each b; a closure that leaves the
     # subgroup is dropped there
     for a in by_order[:40]:
-        cyclic = frozenset(_extend(g.mul, (g.identity,), (), (a,), limit))
+        cyclic = frozenset(_extend(g.mul, g.products, (g.identity,), (), (a,), limit))
         for b in by_order:
             if subgroup_closure(g, [b], limit, cyclic, (a,), subgroup) == subgroup:
                 return (a, b)
@@ -479,13 +516,28 @@ def _generator_witness(
     return tuple(members)  # give up: the full set generates itself
 
 
+Memos = List[Tuple[Element, Element, Dict[Element, Element]]]
+
+
+def _conjugation_memos(g: ConcreteGroup) -> Memos:
+    """For each generator s: s, s^-1 and an empty memo {x: x^s}.
+
+    One search (a census or a lattice) shares them across its orbits and
+    drops them when it returns.  Kept on the group, they would hold a
+    conjugate of every element for as long as the group lives.
+    """
+    return [(s, g.inverse(s), {}) for s in g.generators]
+
+
 def _conjugacy_orbit(
-    g: ConcreteGroup, seed: FrozenSet[Element], witness: Tuple[Element, ...]
+    g: ConcreteGroup, seed: FrozenSet[Element], witness: Tuple[Element, ...], memos: Memos
 ) -> Dict[FrozenSet[Element], Tuple[Element, ...]]:
-    """The conjugates of seed, each with witness conjugated along with it.
+    """The conjugates of seed, each with witness, a tuple of seed's elements, along with it.
 
     A breadth-first search under conjugation by g.generators, which must
     generate g: the orbit under the generators is then the orbit under g.
+    Each element is conjugated once per generator and search: x^s is
+    s^-1*(x*s), the left factor s^-1 applied through the kernel.
     """
     orbit = {seed: witness}
     frontier = [seed]
@@ -493,11 +545,13 @@ def _conjugacy_orbit(
         nxt = []
         for sub in frontier:
             wit = orbit[sub]
-            for gen in g.generators:
-                image = g.conjugate_set(sub, gen)
+            for s, sinv, memo in memos:
+                missing = [x for x in sub if x not in memo]
+                if missing:
+                    memo.update(zip(missing, g.products(sinv, [g.mul(x, s) for x in missing])))
+                image = frozenset(map(memo.__getitem__, sub))
                 if image not in orbit:
-                    ginv = g.inverse(gen)
-                    orbit[image] = tuple(g.mul(g.mul(ginv, w), gen) for w in wit)
+                    orbit[image] = tuple(map(memo.__getitem__, wit))
                     nxt.append(image)
         frontier = nxt
     return orbit
@@ -513,10 +567,11 @@ def conjugacy_classes_of_subgroups(
     """
     classes: List[List[SubgroupHandle]] = []
     done: set = set()
+    memos = _conjugation_memos(g)
     for seed in sorted(witnesses, key=sorted):
         if seed in done:
             continue
-        orbit = _conjugacy_orbit(g, seed, witnesses[seed])
+        orbit = _conjugacy_orbit(g, seed, witnesses[seed], memos)
         done.update(orbit)
         classes.append([SubgroupHandle(s, orbit[s]) for s in sorted(orbit, key=sorted)])
     return sorted(classes, key=lambda cls: sorted(cls[0].elements))
@@ -532,8 +587,11 @@ def find_hall_subgroups(
     Search: fix a Sylow subgroup S for the least prime in pi (every Hall
     subgroup contains a conjugate of it), extend it by pi-elements keeping
     pi-number orders dividing the Hall order, then close the hits under
-    conjugation.  Extension candidates are deduplicated per coset of the
-    current subgroup, since <H, y> = <H, h y> for h in H.
+    conjugation.  Extension candidates are deduplicated per left coset of
+    the current subgroup, since <H, y> = <H, y h> for h in H.  The join is
+    constant on right cosets too, and each coset's least element is a
+    candidate, so the first candidate to reach a join is the least element
+    that produces it, whichever side the cosets are taken on.
     """
     pi = tuple(sorted(set(pi)))
     hall_order = pi_part(g.order, pi)
@@ -546,7 +604,7 @@ def find_hall_subgroups(
     pi_elems = _orders_dividing(g, hall_order)
     admissible = frozenset(pi_elems)
     pi_elems.remove(g.identity)
-    mul = g.mul
+    products = g.products
 
     # all pi-subgroups containing the fixed Sylow subgroup
     found: Dict[FrozenSet[Element], Tuple[Element, ...]] = {
@@ -561,13 +619,13 @@ def find_hall_subgroups(
             if len(current) == hall_order or not exhaustive:
                 continue
             gens = found[current]
-            # one representative per right coset current*x: its least element
+            # one representative per left coset x*current: its least element
             seen = set(current)
             coset_reps = []
             for x in pi_elems:
                 if x in seen:
                     continue
-                coset = list(map(mul, current, repeat(x)))
+                coset = list(products(x, current))
                 seen.update(coset)
                 coset_reps.append(min(coset))
             for x in sorted(coset_reps):
@@ -633,6 +691,7 @@ def pi_subgroup_lattice(
     elems = _orders_dividing(g, cap)
     admissible = frozenset(elems)
     generated: set = set()  # the generators of the seeds built so far
+    memos = _conjugation_memos(g)
     for x in elems:  # <x> has order dividing cap
         if x in generated:
             continue
@@ -643,7 +702,7 @@ def pi_subgroup_lattice(
     frontier = []
     for sub, x in seeds.items():
         if sub not in found:
-            found.update(_conjugacy_orbit(g, sub, (x,)))
+            found.update(_conjugacy_orbit(g, sub, (x,), memos))
             if len(sub) > 1:
                 frontier.append(sub)
     steps = 0
@@ -661,7 +720,7 @@ def pi_subgroup_lattice(
                 join = subgroup_closure(g, [x], cap + 1, current, found[current], admissible)
                 if join is None or join in found:
                     continue
-                found.update(_conjugacy_orbit(g, join, found[current] + (x,)))
+                found.update(_conjugacy_orbit(g, join, found[current] + (x,), memos))
                 nxt.append(join)
                 if len(found) > budget.max_subgroups:
                     return list(found), False

@@ -336,11 +336,22 @@ DEFAULT_VERIFY_INSTANCES = [
 ]
 
 
+# simple groups of Lie type modeled by an isomorphic group: PSL(2,4) = Alt(5),
+# PSL(2,9) = Alt(6), PSL(3,2) = PSL(2,7), each with its unitary twin
+_ISOMORPHIC_MODELS = {(2, 4): ("ALT", 5), (2, 9): ("ALT", 6), (3, 2): ("PSL2", 7)}
+
+
 def concrete_from_spec(spec: GroupSpec, budget: Budget):
+    """A concrete model of spec's group, or of a group isomorphic to it."""
     if spec.family == SYM:
         return build_group("SYM", spec.n, budget)
     if spec.family == ALT:
         return build_group("ALT", spec.n, budget)
+    if spec.family == LINEAR_UNITARY and spec.variant == SIMPLE:
+        if (spec.n, spec.q) in _ISOMORPHIC_MODELS:
+            return build_group(*_ISOMORPHIC_MODELS[spec.n, spec.q], budget)
+        if spec.n == 2 and spec.eta == -1:  # PSU(2,q) = PSL(2,q)
+            return build_group("PSL2", spec.q, budget)
     if spec.family == LINEAR_UNITARY and spec.n == 2 and spec.eta == 1:
         kind = {SIMPLE: "PSL2", ISOMETRY: "SL2"}.get(spec.variant, "GL2")
         return build_group(kind, spec.q, budget)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from pihall.arith import is_prime
-from pihall.bruteforce import _closure, _perm_mul
+from pihall.bruteforce import _closure, _perm_mul, _perm_mul_all
 
 DEFAULT_CLOSURE_BUDGET = 10_000
 
@@ -42,7 +42,8 @@ def close_permutations(
     for g in perms:
         if sorted(g) != list(range(n)):
             raise ValueError(f"{g} is not a permutation of 0..{n - 1}")
-    elements = _closure([bytes(g) for g in perms], _perm_mul, bytes(range(n)), budget)
+    elements = _closure([bytes(g) for g in perms], _perm_mul, bytes(range(n)), budget,
+                        _perm_mul_all)
     return [tuple(x) for x in elements]
 
 

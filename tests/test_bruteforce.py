@@ -1,3 +1,5 @@
+import hashlib
+import json
 from functools import lru_cache
 from itertools import product
 from types import SimpleNamespace
@@ -14,8 +16,11 @@ from pihall.bruteforce import (
     ConcreteGroup,
     NonPrimeField,
     _closure,
+    _conjugacy_orbit,
+    _conjugation_memos,
     _orders_dividing,
     _perm_mul,
+    _perm_mul_all,
     _scalar_canonical,
     build_group,
     conjugacy_classes_of_subgroups,
@@ -288,13 +293,14 @@ def _bfs_closure(g, gens):
 
 @lru_cache(maxsize=None)
 def _small_group(kind, param):
-    return build_group(kind, param)
+    return psl3_3_points() if kind == "PSL3" else build_group(kind, param)
 
 
 @st.composite
 def closure_cases(draw):
     g = _small_group(*draw(st.sampled_from(
-        [("SYM", n) for n in (3, 4, 5, 6)] + [("SL2", p) for p in (2, 3, 5, 7)])))
+        [("SYM", n) for n in (3, 4, 5, 6)] + [("ALT", n) for n in (4, 5, 6)] + [("PSL3", 3)]
+        + [("SL2", p) for p in (2, 3, 5, 7)])))
     gens = draw(st.lists(st.sampled_from(g.elements), max_size=4))
     split = draw(st.integers(0, len(gens)))
     slack = draw(st.integers(-3, 3))
@@ -331,21 +337,104 @@ def test_closure_matches_bfs(case):
 def test_census_stops_closures_at_inadmissible_elements():
     # Sym(7) with pi = {2,3,5}: most closures the extension search tries
     # outgrow the Hall order 720 and hold a 7-cycle; stopping at the first
-    # coset with one, instead of at the order limit, cuts the
-    # multiplications to under a third
+    # coset with one, instead of at the order limit, cuts the products to
+    # under a third (about 121,000 against 534,000).  Most products come
+    # from the batch kernel, so its products count as well as mul's.
     g = build_group("SYM", 7)
     count = 0
-    mul = g.mul
+    mul, mul_all = g.mul, g.mul_all
 
     def counting_mul(a, b):
         nonlocal count
         count += 1
         return mul(a, b)
 
-    g.mul = counting_mul
+    def counting_mul_all(a, block):
+        nonlocal count
+        for y in mul_all(a, block):
+            count += 1
+            yield y
+
+    g.mul, g.mul_all = counting_mul, counting_mul_all
     census = find_hall_subgroups(g, (2, 3, 5))
     assert census.class_count == 1 and len(census.halls_found) == 7
     assert count < 300_000
+
+
+@st.composite
+def kernel_cases(draw):
+    g = _small_group(*draw(st.sampled_from(
+        [("SYM", n) for n in (2, 5, 7)] + [("ALT", 6), ("PSL3", 3)]
+        + [(kind, p) for kind in ("SL2", "PSL2", "GL2", "PGL2") for p in (5, 7)])))
+    a = draw(st.sampled_from(g.elements))
+    return g, a, draw(st.lists(st.sampled_from(g.elements), max_size=30))
+
+
+@given(kernel_cases())
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_mul(case):
+    g, a, xs = case
+    expected = [g.mul(a, x) for x in xs]
+    assert list(g.products(a, xs)) == expected
+    if type(a) is bytes:
+        assert list(_perm_mul_all(tuple(a), xs)) == expected  # a tuple left operand
+    # the kernel reads its block as the block grows: a walk a, a^2, a^3, ...
+    walk = [a]
+    for y in g.products(a, walk):
+        if len(walk) == 6:
+            break
+        walk.append(y)
+    assert walk[1:] == [g.mul(a, y) for y in walk[:-1]]
+
+
+@st.composite
+def conjugation_cases(draw):
+    g = _small_group(*draw(st.sampled_from(
+        [("SYM", n) for n in (3, 4, 5)] + [("ALT", 5), ("ALT", 6)]
+        + [("SL2", 3), ("SL2", 5), ("PSL2", 5), ("PSL2", 7), ("PGL2", 5)])))
+    return g, tuple(draw(st.lists(st.sampled_from(g.elements), min_size=1, max_size=2)))
+
+
+@given(conjugation_cases())
+@settings(max_examples=100, deadline=None)
+def test_memoized_conjugation_matches_products(case):
+    g, gens = case
+    sub = subgroup_closure(g, gens, g.order)
+    memos = _conjugation_memos(g)
+    orbit = _conjugacy_orbit(g, sub, gens, memos)
+    for s, sinv, memo in memos:
+        assert g.mul(s, sinv) == g.identity
+        assert all(y == g.mul(g.mul(sinv, x), s) for x, y in memo.items())
+    # the orbit under g.generators is the orbit under every element of g
+    assert set(orbit) == {frozenset(g.mul(g.mul(g.inverse(c), x), c) for x in sub)
+                          for c in g.elements}
+    for image, witness in orbit.items():
+        assert subgroup_closure(g, witness, len(image) + 1) == image
+    # a second orbit search reads the filled memos and finds the same orbit
+    assert _conjugacy_orbit(g, sub, gens, memos) == orbit
+
+
+# instances outside the default `pihall verify` list: the projective-plane
+# model, GL2 and PGL2, pi-groups, Hall sets of odd order and empty censuses
+PINNED_CENSUSES = [
+    ("PSL3", 3, (2, 3)), ("PSL3", 3, (2, 13)), ("GL2", 5, (2, 3)), ("SYM", 6, (2, 3, 5)),
+    ("PGL2", 11, (2, 3)), ("PGL2", 13, (2, 3)), ("PGL2", 7, (3, 7)), ("PSL2", 7, (3, 7)),
+    ("PSL2", 13, (3, 13)), ("SL2", 11, (5, 11)), ("ALT", 7, (2, 5)), ("PSL2", 19, (2, 3, 5)),
+    ("ALT", 6, (2, 3, 5)),
+]
+PINNED_CENSUS_SHA256 = "cbcaca3032d0803e623ca503ff9b758fb9f00e150214c2e5b8740c8666e60593"
+
+
+def test_pinned_censuses_hash():
+    # the export and every Hall set, sorted, for each instance
+    payloads = []
+    for kind, param, pi in PINNED_CENSUSES:
+        g = psl3_3_points() if kind == "PSL3" else build_group(kind, param)
+        census = find_hall_subgroups(g, pi)
+        payloads.append({"census": census.to_dict(), "halls": sorted(
+            [list(x) for x in sorted(h.elements)] for h in census.halls_found)})
+    digest = hashlib.sha256(json.dumps(payloads, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_CENSUS_SHA256
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])

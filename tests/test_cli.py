@@ -177,7 +177,7 @@ def test_verify_psl3_3_points_model(capsys):
 @pytest.mark.parametrize("instance,expected", [
     ("PSL(2,101):2,3", EXIT_BUDGET),    # the build exceeds the group-order budget
     ("PSL(4,2):2,3", EXIT_VALIDATION),  # no concrete model
-    ("PSL(2,9):2,3", EXIT_VALIDATION),  # matrix models need a prime field
+    ("PSL(2,25):2,3", EXIT_VALIDATION),  # matrix models need a prime field
     ("Alt(4):2,3", EXIT_VALIDATION),    # parses, but Alt(4) is not simple
 ])
 def test_verify_failures_exit_cleanly(instance, expected, capsys):
@@ -185,6 +185,22 @@ def test_verify_failures_exit_cleanly(instance, expected, capsys):
     assert code == expected
     assert out == ""
     assert len(err.splitlines()) == 1 and instance in err
+
+
+@pytest.mark.parametrize("instance,model", [
+    ("PSU(2,7):2,3", "PSL2(7)"), ("PSL(2,13,-):2,3,5", "PSL2(13)"),
+    ("PSL(3,2):2,3", "PSL2(7)"), ("PSL(3,2):2,3,7", "PSL2(7)"),
+    ("PSL(2,4):2,3", "Alt(5)"), ("PSL(2,4,-):2,3,5", "Alt(5)"),
+    ("PSL(2,9):2,3", "Alt(6)"), ("PSU(2,9):2,3,7", "Alt(6)"),
+])
+def test_verify_models_isomorphic_names(instance, model, capsys):
+    # the census runs on an isomorphic model and checks the report for the name given
+    code, out, err = run_cli(["verify", "--instance", instance, "--format", "json"], capsys)
+    assert code == EXIT_OK and err == ""
+    data = json.loads(out)
+    assert data["passed"] is True
+    assert data["instances"][0]["instance"] == instance
+    assert data["instances"][0]["census"]["group"] == model
 
 
 def test_verify_partial_census_exits_budget(capsys):
