@@ -14,6 +14,14 @@ for counterexample searches; it joins from one subgroup per conjugacy
 class and takes the rest of each class by conjugation.  Both searches
 take conjugates under g.generators only, so they assume those elements
 generate g.
+
+Products are made in batches.  Each group carries a batch kernel that
+makes a*x for every x in a block from the one left factor a: for
+permutations, one bytes.translate table applied in a C loop.  So the
+closures are built from left cosets y*H, the extension search takes one
+candidate per left coset x*H, and a power walk x, x^2, ... multiplies by x
+each time.  Conjugation x -> x^s is memoized per generator s within one
+search and dropped when the search returns.
 """
 
 from __future__ import annotations
