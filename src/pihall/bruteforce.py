@@ -336,7 +336,10 @@ def build_group(kind: str, param: int, budget: Budget = DEFAULT_BUDGET) -> Concr
             spec = GroupSpec(ALT, n=n, variant=SIMPLE if n >= 5 else ISOMETRY)
         spec = validate(spec)  # before the closure: it refuses the degrees too small for gens
         gens = [g for g in gens if g != identity]
-        elements = _closure(gens, _perm_mul, identity, budget.max_group_order, _perm_mul_all)
+        # the long cycle first: the closure then adds whole cosets of <cycle>
+        # instead of cosets of order 2 or 3
+        elements = _closure(gens[::-1], _perm_mul, identity, budget.max_group_order,
+                            _perm_mul_all)
         g = ConcreteGroup(f"{kind.capitalize()}({n})", kind, elements, _perm_mul,
                           identity, gens, spec=spec, mul_all=_perm_mul_all)
         _check_order(g)
