@@ -134,6 +134,7 @@ class ConcreteGroup:
         return orders
 
     def element_order(self, x: Element) -> int:
+        """The order of x, which must equal one of the group's elements."""
         return self.order_table()[x]
 
     def inverse(self, x: Element) -> Element:
