@@ -703,7 +703,6 @@ def pi_subgroup_lattice(
     elems = _orders_dividing(g, cap)
     admissible = frozenset(elems)
     generated: set = set()  # the generators of the seeds built so far
-    memos = _conjugation_memos(g)
     for x in elems:  # <x> has order dividing cap
         if x in generated:
             continue
@@ -711,6 +710,7 @@ def pi_subgroup_lattice(
         seeds[seed] = x
         generated.update(y for y in seed if g.element_order(y) == len(seed))
     found: Dict[FrozenSet[Element], Tuple[Element, ...]] = {}
+    memos = _conjugation_memos(g)
     frontier = []
     for sub, x in seeds.items():
         if sub not in found:
