@@ -20,14 +20,23 @@ makes a*x for every x in a block from the one left factor a: for
 permutations, one bytes.translate table applied in a C loop.  So the
 closures are built from left cosets y*H, the extension search takes one
 candidate per left coset x*H, and a power walk x, x^2, ... multiplies by x
-each time.  Conjugation x -> x^s is memoized per generator s within one
-search and dropped when the search returns.
+each time.
+
+Each group is built once per process.  build_group and psl3_3_points keep
+one model per (kind, param): the sorted elements, the generators and the
+kernel, with an order table, an inverse table and one conjugation table
+{x: x^s} per generator s, all filled when the model is built and all
+holding the model's own element objects.  A model lives as long as some
+group made from it; each call returns a fresh ConcreteGroup sharing the
+model's elements and tables, so wrapping one group's mul reaches neither
+the model nor any other group.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain, repeat, takewhile
 from typing import (
@@ -80,7 +89,13 @@ DEFAULT_BUDGET = Budget()
 
 @dataclass
 class ConcreteGroup:
-    """An explicit finite group with canonical elements (see Element)."""
+    """An explicit finite group with canonical elements (see Element).
+
+    The order, inverse and conjugation tables fill together on first use,
+    through the group's own mul and kernel.  A group from build_group gets
+    them filled, shared with its model (held in _model, so that the model
+    lives as long as the group).
+    """
 
     name: str
     kind: str
@@ -94,6 +109,8 @@ class ConcreteGroup:
     mul_all: Optional[Kernel] = field(default=None, repr=False)
     _orders: Dict[Element, int] = field(default_factory=dict, repr=False)
     _inverses: Dict[Element, Element] = field(default_factory=dict, repr=False)
+    _conjugations: List[Dict[Element, Element]] = field(default_factory=list, repr=False)
+    _model: Optional[ConcreteGroup] = field(default=None, repr=False)
 
     @property
     def order(self) -> int:
@@ -105,46 +122,57 @@ class ConcreteGroup:
             return _mul_each(self.mul, a, block)
         return self.mul_all(a, block)
 
-    def _powers(self, x: Element) -> List[Element]:
-        """x, x^2, ..., 1: each power is x*x^i, the kernel reading the list as it grows."""
-        powers = [x]
-        if x != self.identity:
-            for y in self.products(x, powers):
-                powers.append(y)
-                if y == self.identity:
-                    break
-        return powers
+    def _fill_tables(self) -> None:
+        """Fill the order, inverse and conjugation tables.
+
+        One sweep makes a power walk x, x^2, ..., x^n = 1 per cyclic
+        subgroup, each power x*x^i through the kernel: x^i has order
+        n / gcd(i, n) and inverse x^(n-i).  Then each generator s gets the
+        table {x: x^s} over all of g, with x^s = s^-1*(x*s) and the left
+        factor s^-1 applied through the kernel.  Every key and value is one
+        of self.elements, not an equal object that a product made.
+        """
+        orders, inverses = self._orders, self._inverses
+        own = {x: x for x in self.elements}
+        orders.update(dict.fromkeys(self.elements, 0))
+        for x in self.elements:
+            if orders[x]:
+                continue
+            powers = [x]
+            if x != self.identity:
+                for y in self.products(x, powers):
+                    powers.append(own[y])
+                    if y == self.identity:
+                        break
+            n = len(powers)
+            for i, y in enumerate(powers, 1):
+                orders[y] = n // math.gcd(i, n)
+                inverses[y] = powers[n - i - 1]  # x^(n-i); the identity for i = n
+        for s in self.generators:
+            images = self.products(inverses[s], [self.mul(x, s) for x in self.elements])
+            self._conjugations.append(dict(zip(self.elements, map(own.__getitem__, images))))
 
     def order_table(self) -> Dict[Element, int]:
-        """The order of every element, filled in one sweep on first use.
-
-        The sweep makes one power walk x, x^2, ..., 1 per cyclic subgroup:
-        x^i has order n / gcd(i, n).  The table starts with every element as
-        a key, so storing a power keeps the canonical element, not the walk's.
-        """
-        orders = self._orders
-        if not orders:
-            orders = self._orders = dict.fromkeys(self.elements, 0)
-            for x in self.elements:
-                if not orders[x]:
-                    powers = self._powers(x)
-                    n = len(powers)
-                    for i, y in enumerate(powers, 1):
-                        orders[y] = n // math.gcd(i, n)
-        return orders
+        """The order of every element."""
+        if not self._orders:
+            self._fill_tables()
+        return self._orders
 
     def element_order(self, x: Element) -> int:
         """The order of x, which must equal one of the group's elements."""
         return self.order_table()[x]
 
     def inverse(self, x: Element) -> Element:
-        inv = self._inverses.get(x)
-        if inv is None:
-            powers = self._powers(x)
-            inv = powers[-2] if len(powers) > 1 else x  # x^(n-1), or x = 1
-            self._inverses[x] = inv
-            self._inverses[inv] = x
-        return inv
+        """The inverse of x, which must equal one of the group's elements."""
+        if not self._orders:
+            self._fill_tables()
+        return self._inverses[x]
+
+    def conjugation_tables(self) -> List[Dict[Element, Element]]:
+        """One table {x: x^s} over all of the group per generator s, in order."""
+        if not self._orders:
+            self._fill_tables()
+        return self._conjugations
 
 
 @dataclass(frozen=True)
@@ -307,15 +335,45 @@ def _primitive_root(p: int) -> int:
     raise ValueError(f"no primitive root mod {p}")
 
 
+# the models build_group and psl3_3_points have made, by (kind, param), each
+# kept for as long as some group made from it is alive
+_MODELS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _from_model(key: Tuple[str, int], budget: Budget,
+                build: Callable[[], ConcreteGroup]) -> ConcreteGroup:
+    """A fresh group sharing the model for key, which build() makes on first use.
+
+    The model's tables are filled through its own mul and kernel before it
+    is kept, so a caller's wrapper on the returned group's mul never sees
+    them.  A model kept under a larger budget is refused under a smaller one.
+    """
+    model = _MODELS.get(key)
+    if model is None:
+        model = build()
+        model.order_table()
+        _MODELS[key] = model
+    elif model.order > budget.max_group_order:
+        raise BudgetExceeded(f"{key[0]}({key[1]}) exceeds the group-order budget")
+    return replace(model, _model=model)
+
+
 def build_group(kind: str, param: int, budget: Budget = DEFAULT_BUDGET) -> ConcreteGroup:
     """Build one of SL2(p), PSL2(p), GL2(p), PGL2(p), Sym(n), Alt(n) explicitly.
 
     Matrix kinds need a prime p (prime fields only) and hold each element
     as the tuple (a, b, c, d); permutation kinds need a degree n and hold
     each element as the bytes of its point images.  The resulting order
-    must fit the budget.
+    must fit the budget.  Each (kind, param) is closed once per process
+    while a group made from it is alive (see _from_model).
     """
     kind = kind.upper()
+    if kind not in ("SYM", "ALT", "SL2", "PSL2", "GL2", "PGL2"):
+        raise ValueError(f"unknown group kind {kind!r}")
+    return _from_model((kind, param), budget, partial(_build_model, kind, param, budget))
+
+
+def _build_model(kind: str, param: int, budget: Budget) -> ConcreteGroup:
     if kind in ("SYM", "ALT"):
         n = param
         if math.factorial(n) // (1 if kind == "SYM" else 2) > budget.max_group_order:
@@ -346,49 +404,51 @@ def build_group(kind: str, param: int, budget: Budget = DEFAULT_BUDGET) -> Concr
         _check_order(g)
         return g
 
-    if kind in ("SL2", "PSL2", "GL2", "PGL2"):
-        p = param
-        if not is_prime(p):
-            raise NonPrimeField(f"{kind} needs a prime field, got {param}")
-        mul0 = _mat_mul_mod(p)
-        if kind in ("PSL2", "PGL2"):
-            scalars = (
-                list(range(1, p)) if kind == "PGL2" else ([1, p - 1] if p > 2 else [1])
-            )
-            canon = _scalar_canonical(p, scalars)
-
-            def mul(x: Element, y: Element) -> Element:
-                return canon(mul0(x, y))
-
-        else:
-            canon = lambda x: x  # noqa: E731
-            mul = mul0
-        identity = canon((1, 0, 0, 1))
-        gens = [canon((1, 1, 0, 1)), canon((1, 0, 1, 1))]
-        if kind in ("GL2", "PGL2"):
-            gens.append(canon((_primitive_root(p), 0, 0, 1)))
-        variant = {"SL2": ISOMETRY, "PSL2": SIMPLE, "GL2": GENERAL, "PGL2": GENERAL}[kind]
-        spec = GroupSpec(LINEAR_UNITARY, n=2, q=p, eta=1, variant=variant)
-        expected = group_order(validate(spec)) if kind != "PGL2" else None
-        if expected is not None and expected > budget.max_group_order:
-            raise BudgetExceeded(f"{kind}({p}) exceeds the group-order budget")
-        elements = _closure(gens, mul, identity, budget.max_group_order)
-        g = ConcreteGroup(
-            f"{kind}({p})", kind, elements, mul, identity, gens,
-            spec=validate(spec) if kind != "PGL2" else None,
+    p = param
+    if not is_prime(p):
+        raise NonPrimeField(f"{kind} needs a prime field, got {param}")
+    mul0 = _mat_mul_mod(p)
+    if kind in ("PSL2", "PGL2"):
+        scalars = (
+            list(range(1, p)) if kind == "PGL2" else ([1, p - 1] if p > 2 else [1])
         )
-        if kind != "PGL2":
-            _check_order(g)
-        return g
+        canon = _scalar_canonical(p, scalars)
 
-    raise ValueError(f"unknown group kind {kind!r}")
+        def mul(x: Element, y: Element) -> Element:
+            return canon(mul0(x, y))
+
+    else:
+        canon = lambda x: x  # noqa: E731
+        mul = mul0
+    identity = canon((1, 0, 0, 1))
+    gens = [canon((1, 1, 0, 1)), canon((1, 0, 1, 1))]
+    if kind in ("GL2", "PGL2"):
+        gens.append(canon((_primitive_root(p), 0, 0, 1)))
+    variant = {"SL2": ISOMETRY, "PSL2": SIMPLE, "GL2": GENERAL, "PGL2": GENERAL}[kind]
+    spec = GroupSpec(LINEAR_UNITARY, n=2, q=p, eta=1, variant=variant)
+    expected = group_order(validate(spec)) if kind != "PGL2" else None
+    if expected is not None and expected > budget.max_group_order:
+        raise BudgetExceeded(f"{kind}({p}) exceeds the group-order budget")
+    elements = _closure(gens, mul, identity, budget.max_group_order)
+    g = ConcreteGroup(
+        f"{kind}({p})", kind, elements, mul, identity, gens,
+        spec=validate(spec) if kind != "PGL2" else None,
+    )
+    if kind != "PGL2":
+        _check_order(g)
+    return g
 
 
 def psl3_3_points() -> ConcreteGroup:
     """PSL3(3) in its permutation action on the 13 points of the projective plane.
 
-    Each element is the bytes of its point images, as for Sym and Alt.
+    Each element is the bytes of its point images, as for Sym and Alt.  Its
+    model is kept as build_group keeps its own.
     """
+    return _from_model(("PSL3", 3), DEFAULT_BUDGET, _build_psl3_3_points)
+
+
+def _build_psl3_3_points() -> ConcreteGroup:
     p = 3
     points: List[Tuple[int, int, int]] = []
     seen = set()
@@ -528,42 +588,26 @@ def _generator_witness(
     return tuple(members)  # give up: the full set generates itself
 
 
-Memos = List[Tuple[Element, Element, Dict[Element, Element]]]
-
-
-def _conjugation_memos(g: ConcreteGroup) -> Memos:
-    """For each generator s: s, s^-1 and an empty memo {x: x^s}.
-
-    One search (a census or a lattice) shares them across its orbits and
-    drops them when it returns.  Kept on the group, they would hold a
-    conjugate of every element for as long as the group lives.
-    """
-    return [(s, g.inverse(s), {}) for s in g.generators]
-
-
 def _conjugacy_orbit(
-    g: ConcreteGroup, seed: FrozenSet[Element], witness: Tuple[Element, ...], memos: Memos
+    g: ConcreteGroup, seed: FrozenSet[Element], witness: Tuple[Element, ...]
 ) -> Dict[FrozenSet[Element], Tuple[Element, ...]]:
     """The conjugates of seed, each with witness, a tuple of seed's elements, along with it.
 
     A breadth-first search under conjugation by g.generators, which must
     generate g: the orbit under the generators is then the orbit under g.
-    Each element is conjugated once per generator and search: x^s is
-    s^-1*(x*s), the left factor s^-1 applied through the kernel.
+    Each conjugate is read from the group's conjugation tables.
     """
     orbit = {seed: witness}
     frontier = [seed]
+    tables = g.conjugation_tables()
     while frontier:
         nxt = []
         for sub in frontier:
             wit = orbit[sub]
-            for s, sinv, memo in memos:
-                missing = [x for x in sub if x not in memo]
-                if missing:
-                    memo.update(zip(missing, g.products(sinv, [g.mul(x, s) for x in missing])))
-                image = frozenset(map(memo.__getitem__, sub))
+            for table in tables:
+                image = frozenset(map(table.__getitem__, sub))
                 if image not in orbit:
-                    orbit[image] = tuple(map(memo.__getitem__, wit))
+                    orbit[image] = tuple(map(table.__getitem__, wit))
                     nxt.append(image)
         frontier = nxt
     return orbit
@@ -579,11 +623,10 @@ def conjugacy_classes_of_subgroups(
     """
     classes: List[List[SubgroupHandle]] = []
     done: set = set()
-    memos = _conjugation_memos(g)
     for seed in sorted(witnesses, key=sorted):
         if seed in done:
             continue
-        orbit = _conjugacy_orbit(g, seed, witnesses[seed], memos)
+        orbit = _conjugacy_orbit(g, seed, witnesses[seed])
         done.update(orbit)
         classes.append([SubgroupHandle(s, orbit[s]) for s in sorted(orbit, key=sorted)])
     return sorted(classes, key=lambda cls: sorted(cls[0].elements))
@@ -710,11 +753,10 @@ def pi_subgroup_lattice(
         seeds[seed] = x
         generated.update(y for y in seed if g.element_order(y) == len(seed))
     found: Dict[FrozenSet[Element], Tuple[Element, ...]] = {}
-    memos = _conjugation_memos(g)
     frontier = []
     for sub, x in seeds.items():
         if sub not in found:
-            found.update(_conjugacy_orbit(g, sub, (x,), memos))
+            found.update(_conjugacy_orbit(g, sub, (x,)))
             if len(sub) > 1:
                 frontier.append(sub)
     steps = 0
@@ -732,26 +774,12 @@ def pi_subgroup_lattice(
                 join = subgroup_closure(g, [x], cap + 1, current, found[current], admissible)
                 if join is None or join in found:
                     continue
-                found.update(_conjugacy_orbit(g, join, found[current] + (x,), memos))
+                found.update(_conjugacy_orbit(g, join, found[current] + (x,)))
                 nxt.append(join)
                 if len(found) > budget.max_subgroups:
                     return list(found), False
         frontier = nxt
     return list(found), True
-
-
-def is_conjugate_into(
-    g: ConcreteGroup, k: FrozenSet[Element], hall: FrozenSet[Element]
-) -> bool:
-    """Does some conjugate of k land inside hall?  Exhaustive over g."""
-    if len(hall) % len(k) != 0:
-        return False
-    mul = g.mul
-    for c in g.elements:
-        cinv = g.inverse(c)
-        if all(mul(mul(cinv, x), c) in hall for x in k):
-            return True
-    return False
 
 
 @dataclass
@@ -774,19 +802,19 @@ def find_dpi_counterexample(
 
     A witness for every class refutes the full Sylow analogue for pi.  For
     a pi-group there are no witnesses (every pi-subgroup sits in the whole
-    group), and the report comes back empty-handed honestly.
+    group), and the report comes back empty-handed honestly.  Each class
+    of the census is a whole conjugacy orbit, so a subgroup has a conjugate
+    inside the class's Hall subgroup exactly when it lies in one of the
+    class's members.
     """
     pi = tuple(sorted(set(pi)))
     lattice, exhaustive = pi_subgroup_lattice(g, pi, budget)
     lattice = sorted(lattice, key=lambda s: (-len(s), sorted(s)))
     per_class: List[Optional[SubgroupHandle]] = []
     for cls in census.classes:
-        hall = cls[0].elements
         witness = None
         for cand in lattice:
-            if len(cand) == 1:
-                continue
-            if not is_conjugate_into(g, cand, hall):
+            if not any(cand <= h.elements for h in cls):
                 witness = SubgroupHandle(cand, _generator_witness(g, cand))
                 break
         per_class.append(witness)

@@ -237,7 +237,7 @@ def test_criterion_8_isomorphism_consistency(capfd):
     _ok(capfd, 8, elapsed, f"{compared} comparisons across the {len(ISO_PAIRS)} isomorphism pairs agree")
 
 
-def test_criterion_9_dpi_refutation_witnesses(capfd):
+def test_criterion_9_dpi_refutation_witnesses(capfd, is_conjugate_into):
     t0 = time.time()
     for p in (5, 13):
         g = build_group("SL2", p)
@@ -246,8 +246,6 @@ def test_criterion_9_dpi_refutation_witnesses(capfd):
         assert witnesses.refuted, f"no witness for SL2({p})"
         for w, cls in zip(witnesses.per_class, census.classes):
             assert w is not None
-            from pihall.bruteforce import is_conjugate_into
-
             assert not is_conjugate_into(g, w.elements, cls[0].elements)
     elapsed = time.time() - t0
     assert elapsed < 60.0

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import weakref
 from functools import lru_cache
 from itertools import product
 from types import SimpleNamespace
@@ -15,9 +17,9 @@ from pihall.bruteforce import (
     BudgetExceeded,
     ConcreteGroup,
     NonPrimeField,
+    SubgroupHandle,
     _closure,
     _conjugacy_orbit,
-    _conjugation_memos,
     _orders_dividing,
     _perm_mul,
     _perm_mul_all,
@@ -52,6 +54,10 @@ def test_build_group_errors():
         build_group("SYM", 9)
     with pytest.raises(ValueError):
         build_group("WAT", 5)
+    # psl3_3_points keeps its model under ("PSL3", 3), which names no build_group kind
+    plane = psl3_3_points()
+    with pytest.raises(ValueError):
+        build_group("PSL3", plane.order)
     # the standard generators need 2 points for Sym and 3 for Alt
     for kind, n in [("SYM", 0), ("SYM", 1), ("ALT", 0), ("ALT", 2)]:
         with pytest.raises(ValueError):
@@ -400,18 +406,68 @@ def conjugation_cases(draw):
 def test_memoized_conjugation_matches_products(case):
     g, gens = case
     sub = subgroup_closure(g, gens, g.order)
-    memos = _conjugation_memos(g)
-    orbit = _conjugacy_orbit(g, sub, gens, memos)
-    for s, sinv, memo in memos:
+    own = {id(x) for x in g.elements}
+    tables = g.conjugation_tables()
+    assert len(tables) == len(g.generators)
+    for s, table in zip(g.generators, tables):
+        sinv = g.inverse(s)
         assert g.mul(s, sinv) == g.identity
-        assert all(y == g.mul(g.mul(sinv, x), s) for x, y in memo.items())
+        assert all(y == g.mul(g.mul(sinv, x), s) for x, y in table.items())
+        # the images are the group's own element objects, not equal copies
+        assert all(id(y) in own for y in table.values())
+    orbit = _conjugacy_orbit(g, sub, gens)
     # the orbit under g.generators is the orbit under every element of g
     assert set(orbit) == {frozenset(g.mul(g.mul(g.inverse(c), x), c) for x in sub)
                           for c in g.elements}
     for image, witness in orbit.items():
         assert subgroup_closure(g, witness, len(image) + 1) == image
-    # a second orbit search reads the filled memos and finds the same orbit
-    assert _conjugacy_orbit(g, sub, gens, memos) == orbit
+    # a second orbit search reads the same tables and finds the same orbit
+    assert _conjugacy_orbit(g, sub, gens) == orbit
+
+
+def test_build_group_shares_one_model():
+    g, h = build_group("PSL2", 7), build_group("PSL2", 7)
+    assert g is not h and g._model is h._model is not None
+    assert g.elements is h.elements
+    assert g.order_table() is h.order_table()
+    assert g._inverses is h._inverses
+    assert g.conjugation_tables() is h.conjugation_tables()
+    assert psl3_3_points().elements is psl3_3_points().elements
+
+
+def test_wrapping_mul_reaches_neither_the_model_nor_other_groups():
+    g, h = build_group("SYM", 5), build_group("SYM", 5)
+    mul = g.mul
+    g.mul = lambda x, y: mul(x, y)
+    assert h.mul is mul and g._model.mul is mul
+    assert build_group("SYM", 5).mul is mul
+
+
+@pytest.mark.parametrize("kind,param,limit", [("SYM", 7, 1_000), ("PGL2", 7, 100)])
+def test_kept_model_still_meets_the_order_budget(kind, param, limit):
+    g = build_group(kind, param)
+    assert bruteforce._MODELS[kind, param] is g._model
+    with pytest.raises(BudgetExceeded):
+        build_group(kind, param, Budget(max_group_order=limit))
+
+
+def test_model_lives_as_long_as_its_groups():
+    g, h = build_group("PGL2", 2), build_group("PGL2", 2)
+    model = weakref.ref(g._model)
+    del g
+    gc.collect()
+    assert model() is h._model
+    del h
+    gc.collect()
+    assert model() is None and ("PGL2", 2) not in bruteforce._MODELS
+
+
+def test_hall_order_one_census_is_the_trivial_subgroup():
+    g = build_group("SYM", 5)
+    census = find_hall_subgroups(g, (7,))
+    trivial = SubgroupHandle(frozenset({g.identity}), ())
+    assert census.hall_order == 1 and census.exhaustive
+    assert census.classes == [[trivial]] and census.halls_found == [trivial]
 
 
 # instances outside the default `pihall verify` list: the projective-plane
@@ -460,11 +516,14 @@ def group_elements(draw):
 def test_element_order_matches_power_count(case):
     # the orders a power walk caches for x^i are read back by later queries
     g, xs = case
+    own = {id(x) for x in g.elements}
     for x in xs:
         y, n = x, 1
         while y != g.identity:
             y, n = g.mul(y, x), n + 1
         assert g.element_order(x) == n
+        # the same walk gives the inverse, as the group's own element
+        assert g.mul(x, g.inverse(x)) == g.identity and id(g.inverse(x)) in own
 
 
 def _reference_lattice(g, pi):
@@ -496,13 +555,20 @@ def _reference_lattice(g, pi):
     ("PSL2", 11, (2, 3, 5)), ("SYM", 4, (2, 3)), ("SYM", 5, (2, 3)), ("ALT", 6, (2, 3)),
     ("GL2", 5, (2, 3)), ("PGL2", 7, (2, 3)),
 ])
-def test_lattice_from_class_representatives_matches_reference(kind, param, pi, monkeypatch):
+def test_lattice_from_class_representatives_matches_reference(kind, param, pi, monkeypatch,
+                                                             is_conjugate_into):
     g = build_group(kind, param)
     lattice, exhaustive = pi_subgroup_lattice(g, pi)
     reference = _reference_lattice(g, pi)
     assert exhaustive is True
     assert len(lattice) == len(set(lattice)) and set(lattice) == reference
     census = find_hall_subgroups(g, pi)
+    # the D_pi search's test, membership in some subgroup of the class,
+    # against conjugating by every element of g
+    for sub in lattice:
+        for cls in census.classes:
+            assert (any(sub <= h.elements for h in cls)
+                    == is_conjugate_into(g, sub, cls[0].elements))
     got = find_dpi_counterexample(g, pi, census)
     monkeypatch.setattr(bruteforce, "pi_subgroup_lattice",
                         lambda *args: (list(reference), True))
