@@ -8,19 +8,24 @@ Hall discovery seeds the search at a fixed Sylow 2-subgroup: every
 pi-Hall subgroup contains a full Sylow r-subgroup for each r in pi, so
 each conjugacy class of Hall subgroups has a representative above the
 chosen Sylow 2-subgroup (for even hall orders), and the complete Hall
-list is recovered as the union of conjugation orbits.  The cyclic-seeded
-fixpoint over the whole pi-subgroup lattice is kept as a separate mode
-for counterexample searches; it joins from one subgroup per conjugacy
-class and takes the rest of each class by conjugation.  Both searches
-take conjugates under g.generators only, so they assume those elements
-generate g.
+list is recovered as the union of conjugation orbits.  The search joins
+each subgroup H it has found with one candidate per double coset H*x*H,
+its least pi-element: every element of H*x*H gives the same join, which is
+a pi-subgroup only when H*x*H holds pi-elements alone, so each join is
+first reached by the candidate a search over left cosets tried first.  The
+cyclic-seeded fixpoint over the whole pi-subgroup lattice is kept as a
+separate mode for counterexample searches; it joins from one subgroup H
+per conjugacy class, with one cyclic seed per orbit under conjugation by
+H, since <H, x^h> = <H, x> for h in H, and takes the rest of each class
+by conjugation.  Both searches take conjugates under g.generators only,
+so they assume those elements generate g.
 
 Products are made in batches.  Each group carries a batch kernel that
 makes a*x for every x in a block from the one left factor a: for
 permutations, one bytes.translate table applied in a C loop.  So the
-closures are built from left cosets y*H, the extension search takes one
-candidate per left coset x*H, and a power walk x, x^2, ... multiplies by x
-each time.
+closures are built from left cosets y*H, the extension search walks each
+double coset as left cosets y*H, and a power walk x, x^2, ... multiplies
+by x each time.
 
 Each group is built once per process.  build_group and psl3_3_points keep
 one model per (kind, param): the sorted elements, the generators and the
@@ -38,7 +43,7 @@ import math
 import weakref
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import chain, repeat, takewhile
+from itertools import chain, filterfalse, repeat, takewhile
 from typing import (
     Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
     Union,
@@ -79,6 +84,15 @@ class NonPrimeField(ValueError):
 
 @dataclass(frozen=True)
 class Budget:
+    """Limits on building a group and on one search in it.
+
+    max_closure_steps counts the joins a search tries from each subgroup H
+    it extends: one per double coset H*x*H holding a pi-element in the Hall
+    census, and one per orbit of the cyclic seeds outside H under
+    conjugation by H in the pi-subgroup lattice.  A census that runs out
+    reports exhaustive=False; a lattice returns what it found and False.
+    """
+
     max_group_order: int = 100_000
     max_closure_steps: int = 1_000_000
     max_subgroups: int = 10_000
@@ -89,7 +103,7 @@ DEFAULT_BUDGET = Budget()
 
 @dataclass
 class ConcreteGroup:
-    """An explicit finite group with canonical elements (see Element).
+    """An explicit finite group with canonical elements (see Element), in ascending order.
 
     The order, inverse and conjugation tables fill together on first use,
     through the group's own mul and kernel.  A group from build_group gets
@@ -642,11 +656,17 @@ def find_hall_subgroups(
     Search: fix a Sylow subgroup S for the least prime in pi (every Hall
     subgroup contains a conjugate of it), extend it by pi-elements keeping
     pi-number orders dividing the Hall order, then close the hits under
-    conjugation.  Extension candidates are deduplicated per left coset of
-    the current subgroup, since <H, y> = <H, y h> for h in H.  The join is
-    constant on right cosets too, and each coset's least element is a
-    candidate, so the first candidate to reach a join is the least element
-    that produces it, whichever side the cosets are taken on.
+    conjugation.  The current subgroup H is joined with one candidate per
+    double coset H*x*H that holds a pi-element, since <H, a*x*b> = <H, x>
+    for a, b in H.  The pi-elements are scanned in ascending order (g's
+    elements are sorted), so the candidate x is the least pi-element of its
+    double coset, and the double coset is marked seen one left coset y*H at
+    a time, each made by one kernel call; the next left cosets are the
+    s*y*H for the generators s of H.  The outputs are those of one
+    candidate per left coset: a join holding an element outside the pi-
+    elements is never a pi-subgroup, so only a double coset made of pi-
+    elements yields one, and there x is the least element of the double
+    coset, the first candidate of the left-coset search to reach that join.
     """
     pi = tuple(sorted(set(pi)))
     hall_order = pi_part(g.order, pi)
@@ -674,16 +694,19 @@ def find_hall_subgroups(
             if len(current) == hall_order or not exhaustive:
                 continue
             gens = found[current]
-            # one representative per left coset x*current: its least element
             seen = set(current)
-            coset_reps = []
-            for x in pi_elems:
-                if x in seen:
-                    continue
-                coset = list(products(x, current))
-                seen.update(coset)
-                coset_reps.append(min(coset))
-            for x in sorted(coset_reps):
+            for x in filterfalse(seen.__contains__, pi_elems):
+                # x is the least pi-element of current*x*current; mark the
+                # double coset seen one left coset y*current at a time, the
+                # next layer of representatives y being every s*y for the
+                # generators s of current
+                layer = [x]
+                while layer:
+                    reps = []
+                    for y in filterfalse(seen.__contains__, layer):
+                        seen.update(products(y, current))
+                        reps.append(y)
+                    layer = [z for s in gens for z in products(s, reps)]
                 steps += 1
                 if steps > budget.max_closure_steps:
                     exhaustive = False
@@ -729,14 +752,18 @@ def pi_subgroup_lattice(
     """The cyclic-seeded fixpoint: all pi-subgroups of g.
 
     Returns (subgroups, exhaustive).  Joins start from one subgroup per
-    conjugacy class: each is joined with every cyclic seed <x>, and a new
-    join adds its whole conjugacy orbit but only itself to the frontier.
-    Nothing is lost, since the seeds are closed under conjugation and
-    <H^c, x> = <H, x^(c^-1)>^c.  Each seed is closed once, from its first
-    generator, and the trivial subgroup joins nothing, since its joins are
-    the seeds.  Budget.max_closure_steps counts the joins tried from the
-    other representatives.  This is the expensive search; the Hall census
-    above does not depend on it.
+    conjugacy class: each is joined with one cyclic seed <x> per orbit of
+    the seeds outside it under conjugation by it, and a new join adds its
+    whole conjugacy orbit but only itself to the frontier.  The orbit of a
+    seed under H is walked through the seeds' generators, x^h = h^-1*x*h
+    for the generators h of H.  Nothing is lost: the seeds are closed under
+    conjugation, <H^c, x> = <H, x^(c^-1)>^c, and <H, x^h> = <H, x>^h = <H, x>
+    for h in H, so the lattice is the set that joining every seed gives.
+    Each seed is closed once, from its first generator, and the trivial
+    subgroup joins nothing, since its joins are the seeds.
+    Budget.max_closure_steps counts the joins tried from the other
+    representatives, one per seed orbit.  This is the expensive search; the
+    Hall census above does not depend on it.
     """
     pi = tuple(sorted(set(pi)))
     # every pi-subgroup has order dividing |G|_pi
@@ -745,13 +772,14 @@ def pi_subgroup_lattice(
     seeds: Dict[FrozenSet[Element], Element] = {}
     elems = _orders_dividing(g, cap)
     admissible = frozenset(elems)
-    generated: set = set()  # the generators of the seeds built so far
+    orders = g.order_table()
+    seed_of: Dict[Element, FrozenSet[Element]] = {}  # each built seed, by its generators
     for x in elems:  # <x> has order dividing cap
-        if x in generated:
+        if x in seed_of:
             continue
         seed = subgroup_closure(g, [x], cap)
         seeds[seed] = x
-        generated.update(y for y in seed if g.element_order(y) == len(seed))
+        seed_of.update((y, seed) for y in seed if orders[y] == len(seed))
     found: Dict[FrozenSet[Element], Tuple[Element, ...]] = {}
     frontier = []
     for sub, x in seeds.items():
@@ -759,22 +787,37 @@ def pi_subgroup_lattice(
             found.update(_conjugacy_orbit(g, sub, (x,)))
             if len(sub) > 1:
                 frontier.append(sub)
+    mul = g.mul
     steps = 0
     while frontier:
         nxt = []
         for current in frontier:
+            gens = found[current]
+            conjugators = [(g.inverse(h), h) for h in gens]
+            # one seed per orbit under conjugation by current, which fixes
+            # the join; the orbit is walked through the seeds' generators
+            reached = set()
             for seed, x in seeds.items():
-                if seed <= current:
+                if seed in reached or x in current:
                     continue
+                reached.add(seed)
+                orbit = [x]
+                for y in orbit:
+                    for hinv, h in conjugators:
+                        z = mul(hinv, mul(y, h))
+                        image = seed_of[z]
+                        if image not in reached:
+                            reached.add(image)
+                            orbit.append(z)
                 steps += 1
                 if steps > budget.max_closure_steps:
                     return list(found), False
                 # a join of admissible elements is a pi-subgroup: by Cauchy
                 # and Lagrange its order divides cap
-                join = subgroup_closure(g, [x], cap + 1, current, found[current], admissible)
+                join = subgroup_closure(g, [x], cap + 1, current, gens, admissible)
                 if join is None or join in found:
                     continue
-                found.update(_conjugacy_orbit(g, join, found[current] + (x,)))
+                found.update(_conjugacy_orbit(g, join, gens + (x,)))
                 nxt.append(join)
                 if len(found) > budget.max_subgroups:
                     return list(found), False

@@ -493,6 +493,41 @@ def test_pinned_censuses_hash():
     assert digest == PINNED_CENSUS_SHA256
 
 
+# Sym and Alt of degree 5-7, the four matrix kinds at p = 5, 7, 11, 13 and
+# PSL3(3), then a prime set holding pi(Sym(5)) and a single prime
+REFERENCE_CENSUSES = [
+    ("SYM", 5, (2, 3)), ("SYM", 6, (2, 3, 5)), ("SYM", 7, (2, 3, 5)),
+    ("ALT", 5, (2, 3)), ("ALT", 6, (2, 3, 5)), ("ALT", 7, (2, 3)),
+    *[(kind, p, (2, 3)) for kind in ("SL2", "PSL2", "GL2", "PGL2") for p in (5, 7, 11, 13)],
+    ("PSL3", 3, (2, 3)), ("SYM", 5, (2, 3, 5, 7)), ("PSL2", 13, (3,)),
+]
+
+
+@pytest.mark.parametrize("kind,param,pi", REFERENCE_CENSUSES, ids=[
+    f"{kind}-{param}-{','.join(map(str, pi))}" for kind, param, pi in REFERENCE_CENSUSES])
+def test_double_coset_census_matches_left_coset_reference(kind, param, pi, monkeypatch,
+                                                          reference_census):
+    g = psl3_3_points() if kind == "PSL3" else build_group(kind, param)
+    counts = []
+    closure = bruteforce.subgroup_closure
+
+    def counting_closure(*args, **kwargs):
+        counts[-1] += 1
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(bruteforce, "subgroup_closure", counting_closure)
+    counts.append(0)
+    census = find_hall_subgroups(g, pi)
+    counts.append(0)
+    reference = reference_census(g, pi)
+    assert census.exhaustive and reference.exhaustive
+    assert census.to_dict() == reference.to_dict()
+    # every Hall set and witness, in order and class by class
+    assert census.halls_found == reference.halls_found
+    assert census.classes == reference.classes
+    assert counts[0] <= counts[1]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_scalar_canonical_is_least_multiple(p):
     for scalars in ([1, p - 1] if p > 2 else [1], list(range(1, p))):

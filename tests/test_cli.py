@@ -274,3 +274,25 @@ def test_wreath_refuses_a_count_too_long_to_print(capsys):
     # 14281 is the largest prime p with p * log10(2) under that limit
     code, out, _ = run_cli(["wreath", "--k", "2", "--p", "14281"], capsys)
     assert code == EXIT_OK and out.startswith("k_pi(base wr Z(14281)) = ")
+
+
+# the parse and validation exits of sweep and kpi-bound, each with its one stderr line
+ERROR_EXITS = [
+    (["sweep", "--group", "WAT(2)", "--pi-list", "2,3"], EXIT_PARSE,
+     "parse error: [grammar] unknown group head 'WAT' in 'WAT(2)'"),
+    (["sweep", "--group", "PSL(2,7)", "--pi-list", "2,x"], EXIT_PARSE,
+     "parse error: [pi] bad prime set '2,x': invalid literal for int() with base 10: 'x'"),
+    (["kpi-bound", "--group", "WAT(2)", "--pi", "2,3"], EXIT_PARSE,
+     "parse error: [grammar] unknown group head 'WAT' in 'WAT(2)'"),
+    (["kpi-bound", "--group", "PSL(2,7)", "--pi", "2,x"], EXIT_PARSE,
+     "parse error: [pi] bad prime set '2,x': invalid literal for int() with base 10: 'x'"),
+    (["kpi-bound", "--group", "Alt(4)", "--pi", "2,3"], EXIT_VALIDATION,
+     "validation error: [non-simple] Alt(4) is not simple"),
+]
+
+
+@pytest.mark.parametrize("command,code,message", ERROR_EXITS,
+                         ids=[" ".join(c[:3]) + " " + c[-1] for c, _, _ in ERROR_EXITS])
+def test_error_exits_print_one_line(command, code, message, capsys):
+    got, out, err = run_cli(command, capsys)
+    assert got == code and out == "" and err == message + "\n"

@@ -41,6 +41,13 @@ CASES = [
     # a unitary group whose order has 20-40 digit cyclotomic factors
     ("psu11_1097_23.json",
      ["classify", "--group", "PSL(11,1097,-)", "--pi", "2,3", "--format", "json"]),
+    # the default text report: an alias line, an exact count, conditions and a fusion note
+    ("po4m_5_23.txt", ["classify", "--group", "PO-(4,5)", "--pi", "2,3"]),
+    ("po4m_5_23.csv", ["classify", "--group", "PO-(4,5)", "--pi", "2,3", "--format", "csv"]),
+    # the kpi-bound text line, with and without an exact count
+    ("kpi_bound_psp10_23_23.txt", ["kpi-bound", "--group", "PSp(10,23)", "--pi", "2,3"]),
+    ("kpi_bound_psl2_7_23_trivial.txt",
+     ["kpi-bound", "--group", "PSL(2,7)", "--pi", "2,3", "--outer", "trivial"]),
 ]
 
 
@@ -109,6 +116,18 @@ def test_pinned_variants_reports_hash():
         for name in ("2G2(27)", "2G2(19683)")
     )
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_VARIANTS_SHA256
+
+
+# E6(61) with pi = {2,3,5}: 61 - 1 = 60 holds every prime of pi, so the torus row
+# answers with eta = eps; no cell of the default grid or the pinned variants reaches it
+E6_TORUS_SHA256 = "10d2cf15e77e24e45742cab4bc23379047083d138d868bc619444be6a9adb6fa"
+
+
+def test_e6_torus_report_hash():
+    report = classify(parse_group("E6(61)"), parse_pi("2,3,5"))
+    assert [c.case_id for c in report.classes] == ["e6.torus"]
+    text = render_json(report_to_dict(report))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == E6_TORUS_SHA256
 
 
 def test_out_flag_matches_stdout(tmp_path, capsys):
