@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+from pihall import cli
 from pihall.cli import (
     EXIT_BUDGET,
     EXIT_INVARIANT,
@@ -13,6 +15,7 @@ from pihall.cli import (
     EXIT_PARSE,
     EXIT_VALIDATION,
     EXIT_VERIFY,
+    check_sweep_invariants,
     main,
     report_to_dict,
 )
@@ -296,3 +299,53 @@ ERROR_EXITS = [
 def test_error_exits_print_one_line(command, code, message, capsys):
     got, out, err = run_cli(command, capsys)
     assert got == code and out == "" and err == message + "\n"
+
+
+def _doctored(report, **fields):
+    """report with fields overwritten past HallReport's own checks."""
+    out = copy.copy(report)
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out
+
+
+def test_sweep_invariants_name_each_violation():
+    psl = classify(parse_group("PSL(2,7)"), PrimeSet((2, 3)))
+    psp = classify(parse_group("PSp(10,23)"), PrimeSet((2, 3)))
+    assert check_sweep_invariants([psl, psp]) == []
+    assert check_sweep_invariants([_doctored(psl, k_pi=5)]) == [
+        "PSL(2,7) / {2,3}: k=5 outside {0, 1, 2, 3, 4, 9}",
+        "PSL(2,7) / {2,3}: k=5 is not a pi-number",
+        "PSL(2,7) / {2,3}: class counts do not sum to k",
+    ]
+    assert check_sweep_invariants([_doctored(psl, k_pi=9, c_pi="yes")]) == [
+        "PSL(2,7) / {2,3}: k=9 outside the symplectic wreath cases",
+        "PSL(2,7) / {2,3}: c_pi inconsistent with k",
+        "PSL(2,7) / {2,3}: class counts do not sum to k",
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_exits_on_invariant_violation(fmt, monkeypatch, capsys):
+    real = cli.run_sweep
+
+    def doctored_sweep(specs, pi_list):
+        reports, skipped = real(specs, pi_list)
+        return [_doctored(r, k_pi=5) for r in reports], skipped
+
+    monkeypatch.setattr(cli, "run_sweep", doctored_sweep)
+    code, out, _ = run_cli(
+        ["sweep", "--group", "PSL(2,7)", "--pi-list", "2,3", "--format", fmt], capsys
+    )
+    assert code == EXIT_INVARIANT
+    if fmt == "json":
+        data = json.loads(out)
+        assert data["summary"] == "3 violations in 1 rows"
+        assert data["violations"][0] == "PSL(2,7) / {2,3}: k=5 outside {0, 1, 2, 3, 4, 9}"
+    else:
+        assert out.endswith(
+            "# summary: 3 violations in 1 rows\n"
+            "# violation: PSL(2,7) / {2,3}: k=5 outside {0, 1, 2, 3, 4, 9}\n"
+            "# violation: PSL(2,7) / {2,3}: k=5 is not a pi-number\n"
+            "# violation: PSL(2,7) / {2,3}: class counts do not sum to k\n"
+        )

@@ -48,6 +48,9 @@ CASES = [
     ("kpi_bound_psp10_23_23.txt", ["kpi-bound", "--group", "PSp(10,23)", "--pi", "2,3"]),
     ("kpi_bound_psl2_7_23_trivial.txt",
      ["kpi-bound", "--group", "PSL(2,7)", "--pi", "2,3", "--outer", "trivial"]),
+    # the socle's bound when it has no exact count: 3 in pi is PSL(2,9)'s characteristic
+    ("kpi_bound_psl2_9_23_trivial.txt",
+     ["kpi-bound", "--group", "PSL(2,9)", "--pi", "2,3", "--outer", "trivial"]),
 ]
 
 
@@ -128,6 +131,33 @@ def test_e6_torus_report_hash():
     assert [c.case_id for c in report.classes] == ["e6.torus"]
     text = render_json(report_to_dict(report))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == E6_TORUS_SHA256
+
+
+# the default cells under the prime sets that leave out 2 or 3, as JSON reports
+# concatenated: pinned before any rule for these regimes lands
+SECOND_GRID_PI_LIST = ["3,5", "3,7", "5,7", "3,5,7", "2,5", "2,7", "2,5,7"]
+SECOND_GRID_SHA256 = "c5fd3f2884fed0b2268c711c90e37d7510939574967e55365753d1d16cd48e51"
+
+
+def test_second_grid_reports_hash():
+    reports, skipped = run_sweep(default_grid_specs(), [parse_pi(t) for t in SECOND_GRID_PI_LIST])
+    assert (len(reports), len(skipped)) == (6713, 5)
+    assert sum(r.k_pi is None for r in reports) == 6108
+    text = "".join(render_json(report_to_dict(r)) for r in reports)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SECOND_GRID_SHA256
+
+
+# rows no other pin reaches: the E7 and E8 tori (421 - 1 = 420 holds 2, 3, 5 and 7)
+# and the parabolic pattern of an even-dimensional orthogonal group over GF(2)
+RARE_ROWS = [("E7(421)", "e7.torus"), ("E8(421)", "e8.torus"), ("O+(10,2)", "defining.parabolic")]
+RARE_ROWS_SHA256 = "f80501d8b1ec263b9e985f59e9f5fea33291f2686d0fb628644e1873ef1fa49e"
+
+
+def test_rare_rows_reports_hash():
+    reports = [classify(parse_group(name), parse_pi("2,3,5,7")) for name, _ in RARE_ROWS]
+    assert [[c.case_id for c in r.classes] for r in reports] == [[cid] for _, cid in RARE_ROWS]
+    text = "".join(render_json(report_to_dict(r)) for r in reports)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RARE_ROWS_SHA256
 
 
 def test_out_flag_matches_stdout(tmp_path, capsys):
