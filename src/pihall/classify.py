@@ -9,13 +9,26 @@ table, defining-characteristic patterns).
 
 Every emitted class family records the arithmetic conditions it was
 checked against, with the concrete numbers, so reports are auditable.
+
+The cross-characteristic families (2, 3 in pi, p outside pi) are tables of
+rows, walked in order by _fire.  A row is a plain tuple (case id, predicate,
+structure, order, class count, conditions, fusion note); the predicate takes
+the _Query, and the structure, the order and each condition's value are
+constants or functions of it.  The shared predicates (_torus, _spectrum and
+the _dickson tests of PSL2(q)) sit above the tables and read facts that
+_Query computes on first use.  To add a row, append its tuple to the family's
+table where its classes should be listed; name a shared predicate, or define
+a new one once next to the table.  Rules that recurse into a sub-query or
+loop stay functions, and read the same predicates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import permutations
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from pihall.arith import (
@@ -129,20 +142,45 @@ def _fmt_set(s: Iterable[int]) -> str:
     return "{" + ",".join(str(x) for x in sorted(s)) + "}"
 
 
-@dataclass(frozen=True)
 class _Query:
     """One query and the facts every family rule reads: |G|, pi ∩ pi(G)
     (found by divisibility, so |G| is never factored) and h = |G|_pi; for
-    Lie type also q, its characteristic p and eps = epsilon(q) (None for even q)."""
+    Lie type also q, its characteristic p and eps = epsilon(q) (None for even q).
 
-    spec: GroupSpec
-    pi: PrimeSet
-    order: int
-    gpi: frozenset
-    h: int
-    q: Optional[int]
-    p: Optional[int]
-    eps: Optional[int]
+    The cross-characteristic rows also read (q^2-1)_{2,3}, (q^2-1)_{2,3,5},
+    (q-eps)_{2,3}, (q-eps)_{2,3,5} and (q-eps)_pi.  Each is computed on its first
+    read and kept, so a query that no such row tests never computes them.  The
+    rules only read a query; it is a plain class, not a dataclass, to keep the
+    module's import cheap."""
+
+    def __init__(self, spec: GroupSpec, pi: PrimeSet, order: int, gpi: frozenset, h: int,
+                 q: Optional[int], p: Optional[int], eps: Optional[int]) -> None:
+        self.spec, self.pi, self.order, self.gpi, self.h = spec, pi, order, gpi, h
+        self.q, self.p, self.eps = q, p, eps
+
+    @cached_property
+    def part23(self) -> int:
+        return pi_part(self.q * self.q - 1, (2, 3))
+
+    @cached_property
+    def part235(self) -> int:
+        return pi_part(self.q * self.q - 1, (2, 3, 5))
+
+    @cached_property
+    def torus23(self) -> int:
+        return pi_part(self.q - self.eps, (2, 3))
+
+    @cached_property
+    def torus235(self) -> int:
+        return pi_part(self.q - self.eps, (2, 3, 5))
+
+    @cached_property
+    def torus_pi(self) -> int:
+        return pi_part(self.q - self.eps, self.pi)
+
+    def within(self, n: int) -> bool:
+        """pi ∩ pi(G) ⊆ pi(n), tested by divisibility, so n is never factored."""
+        return all(n % r == 0 for r in self.gpi)
 
 
 def _query(spec: GroupSpec, pi: PrimeSet) -> _Query:
@@ -200,8 +238,6 @@ _SYM_D_STRUCTURE = {
 
 # the case-d Hall subgroups of Alt(n): those of Sym(n) intersected with Alt(n)
 _ALT_D_STRUCTURE = {
-    3: "Z(3)",
-    4: "Alt(4)",
     5: "Alt(4)",
     7: "(Sym(3) x Sym(4)) cap Alt(7)",
     8: "(Sym(4) wr Sym(2)) cap Alt(8)",
@@ -257,19 +293,10 @@ def sym_hall_case(n: int, pi: PrimeSet) -> Optional[SymHallCase]:
     return None
 
 
-def _sym_alt_d_pi(case: Optional[SymHallCase], n: int) -> str:
-    if case is None:
-        return NO
-    if case.case in ("a", "c"):
-        return YES
-    if case.case == "d" and n <= 4:
-        return YES
-    return NO
-
-
 def _sym_alt(query: _Query) -> HallReport:
     """Sym(n) and Alt(n) share sym_hall_case: a Hall subgroup of Alt(n) is
-    one of Sym(n) intersected with Alt(n), and its order is |Alt(n)|_pi."""
+    one of Sym(n) intersected with Alt(n), and its order is |Alt(n)|_pi.
+    _dispatch answers |pi ∩ pi(G)| <= 1 and pi ⊇ pi(G): only cases b, d (n >= 5) get here."""
     spec, gpi, h = query.spec, query.gpi, query.h
     n = spec.n
     case = sym_hall_case(n, query.pi)
@@ -278,148 +305,178 @@ def _sym_alt(query: _Query) -> HallReport:
         return _report(query, tag, [], NO)
     structure = case.structure
     if spec.family == ALT:
-        if case.case == "a":
-            structure = _prime_power_structure(min(gpi), h) if gpi else "Z(1)"
-        elif case.case == "d":
-            structure = _ALT_D_STRUCTURE[n]
-        else:
-            structure = structure.replace("Sym", "Alt")
+        structure = _ALT_D_STRUCTURE[n] if case.case == "d" else structure.replace("Sym", "Alt")
     conds = (
         Condition(f"pi ∩ pi({spec.family}_n)", _fmt_set(gpi)),
         Condition("case", case.case),
     )
     desc = HallClassDescriptor(f"{spec.family.lower()}.{case.case}", structure, h, 1, conds)
-    return _report(query, tag, [desc], _sym_alt_d_pi(case, n))
+    return _report(query, tag, [desc], NO)
+
+
+# ---------------------------------------------------------------------------
+# the row evaluator and the shared predicates
+
+
+def _value(v, query: _Query):
+    return v(query) if callable(v) else v
+
+
+def _fire(query: _Query, rows) -> List[HallClassDescriptor]:
+    """The class family of each row whose predicate holds, in row order."""
+    return [
+        HallClassDescriptor(
+            case_id, _value(structure, query), _value(so, query), count,
+            tuple(Condition(name, _value(v, query)) for name, v in conds), fusion,
+        )
+        for case_id, holds, structure, so, count, conds, fusion in rows
+        if holds(query)
+    ]
+
+
+def _checked(report: HallReport, family: str, counts: Tuple[int, ...]) -> HallReport:
+    """report, once its k_pi is one of the family's possible counts."""
+    if report.k_pi not in counts:
+        raise RuntimeError(f"{family} class count {report.k_pi} outside {_fmt_set(counts[1:])}")
+    return report
+
+
+# With q odd and 2, 3 in pi, the Hall subgroups of PSL2(q) are a torus normalizer,
+# Alt(4), Sym(4) and Alt(5) (Dickson; Huppert, Endliche Gruppen I, II.8.27).  SL2,
+# GL2, the small orthogonal groups, the symplectic wreath and the exceptional tori
+# are built from SL2 blocks, so their rows read these predicates.
+_S235 = frozenset((2, 3, 5))
+
+
+def _torus(query: _Query) -> bool:
+    """pi ∩ pi(G) ⊆ pi(q-eps)."""
+    return query.within(query.q - query.eps)
+
+
+def _spectrum(query: _Query) -> bool:
+    """pi ∩ pi(G) ⊆ pi(q^2-1)."""
+    return query.within(query.q * query.q - 1)
+
+
+def _dickson(fact: str, primes: Tuple[int, ...], value: int):
+    """The predicate pi ∩ pi(G) = primes and the _Query fact named `fact` = value."""
+    primes = frozenset(primes)
+    return lambda query: query.gpi == primes and getattr(query, fact) == value
+
+
+_alt4 = _dickson("part23", (2, 3), 24)  # (q^2-1)_{2,3} = 24
+_sym4 = _dickson("part23", (2, 3), 48)  # (q^2-1)_{2,3} = 48
+_alt5 = _dickson("part235", (2, 3, 5), 120)  # (q^2-1)_{2,3,5} = 120
+_dihedral12 = _dickson("torus23", (2, 3), 12)  # (q-eps)_{2,3} = 12
+_dihedral24 = _dickson("torus23", (2, 3), 24)  # (q-eps)_{2,3} = 24
+_dihedral60 = _dickson("torus235", (2, 3, 5), 60)  # (q-eps)_{2,3,5} = 60
+
+_HALL = attrgetter("h")
+_TORUS_PI = attrgetter("torus_pi")
+
+# condition (name, value) pairs that several rows print
+_GPI = ("pi ∩ pi(G)", lambda qy: _fmt_set(qy.gpi))
+_GPI23 = ("pi ∩ pi(G)", "{2,3}")
+_GPI235 = ("pi ∩ pi(G)", "{2,3,5}")
+_GPI_IN_TORUS = ("pi ∩ pi(G) ⊆ pi(q-eps)", _GPI[1])
+_PI_TORUS = ("pi(q-eps)", lambda qy: _fmt_set(prime_divisors(qy.q - qy.eps)))
+_Q24 = ("(q^2-1)_{2,3}", "24")
+_Q48 = ("(q^2-1)_{2,3}", "48")
+_Q120 = ("(q^2-1)_{2,3,5}", "120")
 
 
 # ---------------------------------------------------------------------------
 # two-dimensional linear and unitary groups
 
 
+def _psl2(projective, linear):
+    """A structure or order that is `linear` in SL2(q) and `projective` in PSL2(q)."""
+    return lambda qy: _value(projective if qy.spec.variant == SIMPLE else linear, qy)
+
+
+_PGL2_SWAP = "the two classes are interchanged by the diagonal outer automorphism (PGL2 level)"
+
+_SL2_ROWS = (
+    ("sl2.a", _torus,
+     _psl2(lambda qy: f"D({qy.torus_pi})", lambda qy: f"2.D({qy.torus_pi})"),
+     _psl2(_TORUS_PI, lambda qy: 2 * qy.torus_pi), 1,
+     (_GPI, _PI_TORUS, ("(q-eps)_pi", lambda qy: str(qy.torus_pi))), ""),
+    ("sl2.b", _alt4, _psl2("Alt(4)", "SL2(3)"), _psl2(12, 24), 1, (_GPI23, _Q24), ""),
+    ("sl2.c", _sym4, _psl2("Sym(4)", "2.Sym(4)"), _psl2(24, 48), 2, (_GPI23, _Q48), _PGL2_SWAP),
+    ("sl2.d", _alt5, _psl2("Alt(5)", "SL2(5)"), _psl2(60, 120), 2, (_GPI235, _Q120), _PGL2_SWAP),
+)
+
+
+def _gl2_center(query: _Query) -> int:
+    """(q-eta)_pi, the pi-part of the centre of GL2(q) or GU2(q)."""
+    return pi_part(query.q - query.spec.eta, query.pi)
+
+
+_GL2_ROWS = (
+    ("gl2.a", _torus, lambda qy: f"Z({_gl2_center(qy)}) . D({2 * qy.torus_pi})",
+     lambda qy: _gl2_center(qy) * 2 * qy.torus_pi, 1, (_GPI, _PI_TORUS), ""),
+    ("gl2.b", _alt4, lambda qy: f"Z({_gl2_center(qy)}) . Sym(4)",
+     lambda qy: _gl2_center(qy) * 24, 1, (_GPI23, _Q24), ""),
+)
+
+
 def _sl2(query: _Query) -> HallReport:
     """pi-Hall subgroups of SL2(q), or of PSL2(q) for the simple variant;
     SU2(q) = SL2(q) takes the same answer."""
-    q, eps, pi, gpi = query.q, query.eps, query.pi, query.gpi
-    projective = query.spec.variant == SIMPLE
-    classes: List[HallClassDescriptor] = []
-
-    if gpi <= frozenset(prime_divisors(q - eps)):
-        m = pi_part(q - eps, pi)
-        conds = (
-            Condition("pi ∩ pi(G)", _fmt_set(gpi)),
-            Condition("pi(q-eps)", _fmt_set(prime_divisors(q - eps))),
-            Condition("(q-eps)_pi", str(m)),
-        )
-        classes.append(
-            HallClassDescriptor(
-                "sl2.a",
-                f"D({m})" if projective else f"2.D({m})",
-                m if projective else 2 * m,
-                1,
-                conds,
-            )
-        )
-    part23 = pi_part(q * q - 1, (2, 3))
-    if gpi == frozenset((2, 3)) and part23 == 24:
-        conds = (
-            Condition("pi ∩ pi(G)", "{2,3}"),
-            Condition("(q^2-1)_{2,3}", "24"),
-        )
-        classes.append(
-            HallClassDescriptor(
-                "sl2.b", "Alt(4)" if projective else "SL2(3)",
-                12 if projective else 24, 1, conds,
-            )
-        )
-    if gpi == frozenset((2, 3)) and part23 == 48:
-        conds = (
-            Condition("pi ∩ pi(G)", "{2,3}"),
-            Condition("(q^2-1)_{2,3}", "48"),
-        )
-        classes.append(
-            HallClassDescriptor(
-                "sl2.c", "Sym(4)" if projective else "2.Sym(4)",
-                24 if projective else 48, 2, conds,
-                fusion_note="the two classes are interchanged by the diagonal outer automorphism (PGL2 level)",
-            )
-        )
-    part235 = pi_part(q * q - 1, (2, 3, 5))
-    if gpi == frozenset((2, 3, 5)) and part235 == 120:
-        conds = (
-            Condition("pi ∩ pi(G)", "{2,3,5}"),
-            Condition("(q^2-1)_{2,3,5}", "120"),
-        )
-        classes.append(
-            HallClassDescriptor(
-                "sl2.d", "Alt(5)" if projective else "SL2(5)",
-                60 if projective else 120, 2, conds,
-                fusion_note="the two classes are interchanged by the diagonal outer automorphism (PGL2 level)",
-            )
-        )
-    rep = _report(query, TAG_FULL, classes, NO)
-    if rep.k_pi is not None and rep.k_pi not in (0, 1, 2, 3):
-        raise RuntimeError(f"SL2 class count {rep.k_pi} outside {{1,2,3}}")
-    return rep
+    return _checked(_report(query, TAG_FULL, _fire(query, _SL2_ROWS), NO), "SL2", (0, 1, 2, 3))
 
 
 def _gl2(query: _Query) -> HallReport:
     """pi-Hall subgroups of GL2(q) (eta=+1) or GU2(q) (eta=-1)."""
-    q, eps, pi, gpi = query.q, query.eps, query.pi, query.gpi
-    eta = query.spec.eta
-    z = pi_part(q - eta, pi)
-    classes: List[HallClassDescriptor] = []
-    if gpi <= frozenset(prime_divisors(q - eps)):
-        m = 2 * pi_part(q - eps, pi)
-        conds = (
-            Condition("pi ∩ pi(G)", _fmt_set(gpi)),
-            Condition("pi(q-eps)", _fmt_set(prime_divisors(q - eps))),
-        )
-        classes.append(
-            HallClassDescriptor("gl2.a", f"Z({z}) . D({m})", z * m, 1, conds)
-        )
-    if gpi == frozenset((2, 3)) and pi_part(q * q - 1, (2, 3)) == 24:
-        conds = (
-            Condition("pi ∩ pi(G)", "{2,3}"),
-            Condition("(q^2-1)_{2,3}", "24"),
-        )
-        classes.append(
-            HallClassDescriptor("gl2.b", f"Z({z}) . Sym(4)", z * 24, 1, conds)
-        )
-    rep = _report(query, TAG_FULL, classes, OUT_OF_SCOPE)
-    if rep.k_pi is not None and rep.k_pi > 2:
-        raise RuntimeError(f"GL2 class count {rep.k_pi} outside {{1,2}}")
-    return rep
+    rep = _report(query, TAG_FULL, _fire(query, _GL2_ROWS), OUT_OF_SCOPE)
+    return _checked(rep, "GL2", (0, 1, 2))
 
 
 # ---------------------------------------------------------------------------
 # linear and unitary groups, n >= 3
 
 
+def _lu_center(query: _Query) -> int:
+    """gcd(n, q-eta) = |Z(SL_n^eta(q))| for the simple variant, which divides it out; else 1."""
+    spec = query.spec
+    return math.gcd(spec.n, query.q - spec.eta) if spec.variant == SIMPLE else 1
+
+
+def _quotient(d: int) -> str:
+    return f" / Z({d})" if d > 1 else ""
+
+
+def _alt6_block(query: _Query) -> bool:
+    q, eta = query.q, query.spec.eta
+    return (query.spec.n == 4 and query.gpi == _S235 and (q - 5 * eta) % 8 == 0
+            and r_part(q + eta, 3) == 3 and r_part(q * q + 1, 5) == 5)
+
+
+_LINEAR_UNITARY_ROWS = (
+    ("linear_unitary.d", _alt6_block, lambda qy: "4.2^4.Alt(6)" + _quotient(_lu_center(qy)),
+     lambda qy: 23040 // _lu_center(qy), 2,
+     (("q = 5 eta (mod 8)", lambda qy: str(qy.q % 8)), ("(q+eta)_3", "3"), ("(q^2+1)_5", "5"),
+      _GPI235),
+     "the two classes are interchanged by the full diagonal outer group"),
+)
+
+
 def _linear_unitary(query: _Query) -> HallReport:
     """SL_n^eta(q) and PSL_n^eta(q) for n >= 3."""
     spec, q, pi, gpi, h = query.spec, query.q, query.pi, query.gpi, query.h
-    n, eta, variant = spec.n, spec.eta, spec.variant
-    d = math.gcd(n, q - eta)
-    sl_order = query.order * d if variant == SIMPLE else query.order
+    n, eta = spec.n, spec.eta
+    center = _lu_center(query)
     sgn = "+" if eta == 1 else "-"
-    classes: List[HallClassDescriptor] = []
-    notes: List[str] = []
-
-    primes_n_fact = frozenset(p for p in range(2, n + 1) if is_prime(p))
-    pi_q_minus_eta = frozenset(prime_divisors(q - eta))
 
     def stmt_b() -> Optional[HallClassDescriptor]:
-        congruent = (q - eta) % 12 == 0 or (n == 3 and (q - eta) % 4 == 0)
-        if not congruent:
+        if (q - eta) % 12 != 0 and not (n == 3 and (q - eta) % 4 == 0):
             return None
-        sym = sym_hall_case(n, pi)
-        if sym is None:
-            return None
-        if not gpi <= (pi_q_minus_eta | primes_n_fact):
+        # pi ∩ pi(G) ⊆ pi(q-eta) ∪ pi(n!)
+        if sym_hall_case(n, pi) is None or not all(r <= n or (q - eta) % r == 0 for r in gpi):
             return None
         checked = []
-        for rr in sorted((frozenset(pi) & primes_n_fact) - pi_q_minus_eta):
-            g_r = r_part(sl_order, rr)
+        for rr in sorted(r for r in pi if r <= n and (q - eta) % r):
+            g_r = r_part(query.order * center, rr)
             s_r = r_part(math.factorial(n), rr)
             checked.append(Condition(f"|G|_{rr} vs |Sym_n|_{rr}", f"{g_r} vs {s_r}"))
             if g_r != s_r:
@@ -429,18 +486,12 @@ def _linear_unitary(query: _Query) -> HallReport:
             Condition("pi ∩ pi(G)", _fmt_set(gpi)),
             *checked,
         )
-        quot = f" / Z({d})" if variant == SIMPLE and d > 1 else ""
-        return HallClassDescriptor(
-            "linear_unitary.b",
-            f"Hall(Z({q - eta})^{n - 1} . Sym({n}){quot})",
-            h, 1, conds,
-        )
+        structure = f"Hall(Z({q - eta})^{n - 1} . Sym({n}){_quotient(center)})"
+        return HallClassDescriptor("linear_unitary.b", structure, h, 1, conds)
 
     def stmt_c() -> Optional[HallClassDescriptor]:
         m, k1 = n // 2, n % 2
-        if (q + eta) % 3 != 0:
-            return None
-        if not gpi <= frozenset(prime_divisors(q * q - 1)):
+        if (q + eta) % 3 != 0 or not _spectrum(query):
             return None
         gl = _gl2(_query(GroupSpec(LINEAR_UNITARY, n=2, q=q, eta=eta, variant=GENERAL), pi))
         if gl.e_pi != YES:
@@ -457,72 +508,28 @@ def _linear_unitary(query: _Query) -> HallReport:
         )
         tail = f" x Z({q - eta})" if k1 else ""
         return HallClassDescriptor(
-            "linear_unitary.c",
-            f"Hall((GL2({q},{sgn}) wr Sym({m})){tail} in SL)",
-            h, count, conds,
-            fusion_note="classes are indexed by the GL2-Hall class chosen on each orbit of the Sym_m-Hall",
+            "linear_unitary.c", f"Hall((GL2({q},{sgn}) wr Sym({m})){tail} in SL)", h, count, conds,
+            fusion_note="classes are indexed by the GL2-Hall class chosen on each orbit "
+                        "of the Sym_m-Hall",
         )
 
-    def stmt_d() -> Optional[HallClassDescriptor]:
-        if n != 4 or gpi != frozenset((2, 3, 5)):
-            return None
-        if (q - 5 * eta) % 8 != 0:
-            return None
-        if r_part(q + eta, 3) != 3 or r_part(q * q + 1, 5) != 5:
-            return None
-        conds = (
-            Condition("q = 5 eta (mod 8)", str(q % 8)),
-            Condition("(q+eta)_3", "3"),
-            Condition("(q^2+1)_5", "5"),
-            Condition("pi ∩ pi(G)", "{2,3,5}"),
-        )
-        structure = "4.2^4.Alt(6)" + (f" / Z({d})" if variant == SIMPLE and d > 1 else "")
-        so = 23040 // (d if variant == SIMPLE else 1)
-        return HallClassDescriptor(
-            "linear_unitary.d", structure, so, 2, conds,
-            fusion_note="the two classes are interchanged by the full diagonal outer group",
-        )
-
-    def stmt_e() -> bool:
-        return (
-            n == 11
-            and gpi == frozenset((2, 3))
-            and pi_part(q * q - 1, (2, 3)) == 24
-            and (q + eta) % 3 == 0
-            and (q - eta) % 4 == 0
-        )
-
-    if stmt_e():
+    notes = []
+    if n == 11 and _alt4(query) and (q + eta) % 3 == 0 and (q - eta) % 4 == 0:
         z2 = r_part(q - eta, 2)
-        conds = (
-            Condition("pi ∩ pi(G)", "{2,3}"),
-            Condition("(q^2-1)_{2,3}", "24"),
-            Condition("q = -eta (mod 3), q = eta (mod 4)", f"q = {q}"),
-        )
-        classes.append(
-            HallClassDescriptor(
-                "linear_unitary.e",
-                f"Hall(((Z({z2}) o 2.Sym(4)) wr Sym(4)) x (Z({z2}) wr Sym(3)) in SL)",
-                h, 1, conds,
-            )
-        )
+        conds = (Condition("pi ∩ pi(G)", "{2,3}"), Condition("(q^2-1)_{2,3}", "24"),
+                 Condition("q = -eta (mod 3), q = eta (mod 4)", f"q = {q}"))
+        structure = f"Hall(((Z({z2}) o 2.Sym(4)) wr Sym(4)) x (Z({z2}) wr Sym(3)) in SL)"
+        classes = [HallClassDescriptor("linear_unitary.e", structure, h, 1, conds)]
         ce = stmt_c()
         if ce is not None:
             classes.append(replace(ce, class_count=2))
-        notes.append(
-            "with the n=11 mixed decomposition present, the diagonal-block family "
-            "contributes exactly two classes (asserted total k=3)"
-        )
+        notes.append("with the n=11 mixed decomposition present, the diagonal-block family "
+                     "contributes exactly two classes (asserted total k=3)")
     else:
-        for maker in (stmt_b, stmt_c, stmt_d):
-            desc = maker()
-            if desc is not None:
-                classes.append(desc)
-
+        classes = [d for d in (stmt_b(), stmt_c()) if d is not None]
+        classes += _fire(query, _LINEAR_UNITARY_ROWS)
     rep = _report(query, TAG_FULL, classes, NO, notes)
-    if rep.k_pi is not None and rep.k_pi not in (0, 1, 2, 3, 4):
-        raise RuntimeError(f"linear/unitary class count {rep.k_pi} outside {{1,2,3,4}}")
-    return rep
+    return _checked(rep, "linear/unitary", (0, 1, 2, 3, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -534,9 +541,8 @@ def _symplectic(query: _Query) -> HallReport:
     m = query.spec.n // 2
     sl2rep = _sl2(_query(GroupSpec(LINEAR_UNITARY, n=2, q=q, eta=1, variant=ISOMETRY), pi))
     sym = sym_hall_case(m, pi)
-    cond_spectrum = gpi <= frozenset(prime_divisors(q * q - 1))
     classes: List[HallClassDescriptor] = []
-    if sl2rep.e_pi == YES and sym is not None and cond_spectrum:
+    if sl2rep.e_pi == YES and sym is not None and _spectrum(query):
         count = sl2rep.k_pi ** sym.orbit_count
         conds = (
             Condition("SL2(q) in E_pi, k", str(sl2rep.k_pi)),
@@ -544,280 +550,260 @@ def _symplectic(query: _Query) -> HallReport:
             Condition("pi ∩ pi(G) ⊆ pi(q^2-1)", _fmt_set(gpi)),
         )
         quot = " / Z(2)" if query.spec.variant == SIMPLE else ""
-        classes.append(
-            HallClassDescriptor(
-                "symplectic.wreath",
-                f"Hall(SL2({q}) wr Sym({m}){quot})",
-                h, count, conds,
-                fusion_note="classes are indexed by the SL2-Hall class chosen on each orbit of the Sym_m-Hall",
-            )
-        )
-    rep = _report(query, TAG_FULL, classes, NO)
-    if rep.k_pi is not None and rep.k_pi not in (0, 1, 2, 3, 4, 9):
-        raise RuntimeError(f"symplectic class count {rep.k_pi} outside {{1,2,3,4,9}}")
-    return rep
+        classes.append(HallClassDescriptor(
+            "symplectic.wreath", f"Hall(SL2({q}) wr Sym({m}){quot})", h, count, conds,
+            fusion_note="classes are indexed by the SL2-Hall class chosen on each orbit "
+                        "of the Sym_m-Hall",
+        ))
+    return _checked(_report(query, TAG_FULL, classes, NO), "symplectic", (0, 1, 2, 3, 4, 9))
 
 
 # ---------------------------------------------------------------------------
 # orthogonal groups
 
 
+def _o2_pi(query: _Query) -> int:
+    return pi_part((query.q - query.spec.eta) // 2, query.pi)
+
+
+def _o6_split_torus(query: _Query) -> bool:
+    return query.spec.eta == query.eps and (query.q - query.eps) % 3 == 0 and _torus(query)
+
+
+def _o6_twisted_torus(query: _Query) -> bool:
+    return query.spec.eta == -query.eps and _torus(query)
+
+
+def _o6_sym4(query: _Query) -> bool:
+    return (query.q + query.spec.eta) % 3 == 0 and _alt4(query)
+
+
+def _o6_alt6(query: _Query) -> bool:
+    q, eta = query.q, query.spec.eta
+    return (eta == query.eps and q % 8 in (3, 5) and (q + eta) % 3 == 0
+            and query.gpi == _S235 and query.part23 == 24 and r_part(q * q + 1, 5) == 5)
+
+
+_SO_SWAP = "{} interchanges the two classes"
+_INVOLUTION = "{} \\ Omega4+ induces an involution of shape (ij)(kl) on the classes"
+
+# (n, eta) -> rows, with eta None outside dimension 4.  The rows of n = 6 match
+# the 4-dimensional linear or unitary group that Omega6 is a central image of.
+_ORTHOGONAL_SMALL_ROWS = {
+    # Omega2(q) has order (q-eta)/2, which divides q^2-1, so its one row always holds
+    (2, None): (
+        ("orthogonal2.a", _spectrum, lambda qy: f"Z({_o2_pi(qy)})", _o2_pi, 1,
+         (("cyclic order", lambda qy: str((qy.q - qy.spec.eta) // 2)),), ""),
+    ),
+    (3, None): (
+        ("orthogonal3.b", _torus, lambda qy: f"D({qy.torus_pi})", _TORUS_PI, 1,
+         (_GPI_IN_TORUS,), ""),
+        ("orthogonal3.c", _alt4, "Alt(4)", 12, 1, (_Q24,), ""),
+        ("orthogonal3.d", _sym4, "Sym(4)", 24, 2, (_Q48,), _SO_SWAP.format("SO3(q)")),
+        ("orthogonal3.e", _alt5, "Alt(5)", 60, 2, (_Q120,), _SO_SWAP.format("SO3(q)")),
+    ),
+    (4, 1): (
+        ("orthogonal4.f", _torus, lambda qy: f"2.D({qy.torus_pi}) o 2.D({qy.torus_pi})",
+         lambda qy: 2 * qy.torus_pi ** 2, 1, (_GPI_IN_TORUS,), ""),
+        ("orthogonal4.g", _alt4, "SL2(3) o SL2(3)", 288, 1, (_Q24,), ""),
+        ("orthogonal4.h", _dihedral12, "2.D(12) o SL2(3)", 288, 2, (("(q-eps)_{2,3}", "12"),),
+         "SO4+(q) stabilizes the classes; O4+(q) interchanges them"),
+        ("orthogonal4.i", _sym4, "2.Sym(4) o 2.Sym(4)", 1152, 4, (_Q48,),
+         _INVOLUTION.format("SO4+")),
+        ("orthogonal4.j", _dihedral24, "2.D(24) o 2.Sym(4)", 1152, 4, (("(q-eps)_{2,3}", "24"),),
+         _INVOLUTION.format("O4+")),
+        ("orthogonal4.k", _alt5, "SL2(5) o SL2(5)", 7200, 4, (_Q120,), _INVOLUTION.format("SO4+")),
+        ("orthogonal4.l", _dihedral60, "2.D(60) o SL2(5)", 7200, 4, (("(q-eps)_{2,3,5}", "60"),),
+         _INVOLUTION.format("O4+")),
+    ),
+    (4, -1): (
+        ("orthogonal4.m", _spectrum, lambda qy: f"D({pi_part(qy.q * qy.q - 1, qy.pi)})",
+         lambda qy: pi_part(qy.q * qy.q - 1, qy.pi), 1,
+         (("pi ∩ pi(G) ⊆ pi(q^2-1)", _GPI[1]),), ""),
+        ("orthogonal4.n", _alt4, "Sym(4)", 24, 2, (_Q24,),
+         "invariant under O4-(q); GO4-(q) interchanges the two classes"),
+    ),
+    (5, None): (
+        ("orthogonal5.o", _torus, lambda qy: f"(2.D({qy.torus_pi}) o 2.D({qy.torus_pi})) . 2",
+         lambda qy: 4 * qy.torus_pi ** 2, 1, (_GPI_IN_TORUS,), ""),
+        ("orthogonal5.p", _alt4, "(2.Alt(4) o 2.Alt(4)) . 2", 576, 1, (_Q24,), ""),
+        ("orthogonal5.q", _sym4, "(2.Sym(4) o 2.Sym(4)) . 2", 2304, 2, (_Q48,),
+         _SO_SWAP.format("SO5(q)")),
+        ("orthogonal5.r", _alt5, "(SL2(5) o SL2(5)) . 2", 14400, 2, (_Q120,),
+         _SO_SWAP.format("SO5(q)")),
+    ),
+    (6, None): (
+        ("orthogonal6.s", _o6_split_torus,
+         lambda qy: f"Hall(D({2 * (qy.q - qy.eps)}) wr Sym(3) in Omega)", _HALL, 1,
+         (_GPI, ("3 | q-eps", lambda qy: str(qy.q - qy.eps))), ""),
+        ("orthogonal6.t", _o6_twisted_torus,
+         lambda qy: (f"Hall(D({2 * (qy.q - qy.eps)}) x D({2 * (qy.q - qy.eps)})"
+                     f" x D({2 * (qy.q + qy.eps)}) in Omega)"), _HALL, 1, (_GPI,), ""),
+        ("orthogonal6.u", _o6_sym4,
+         lambda qy: (f"Hall((Z({r_part(qy.q - qy.spec.eta, 2)}) o 2.Sym(4) o 2.Sym(4))"
+                     " . 2 in Omega)"),
+         _HALL, 1, (_Q24, ("q = -eta (mod 3)", lambda qy: str(qy.q % 3))), ""),
+        ("orthogonal6.v", _o6_alt6, "2^5.Alt(6)", 11520, 2,
+         (_Q24, ("(q^2+1)_5", "5"), ("q mod 8", lambda qy: str(qy.q % 8))),
+         "invariant under O6(q); the similarity group interchanges the two classes"),
+    ),
+}
+
+
 def _orthogonal_small(query: _Query) -> HallReport:
     """The small-dimension table, n <= 6, at the Omega level; validation
-    rewrites or rejects the simple variants, so only isometry groups get here."""
-    q, eps, pi, gpi, h = query.q, query.eps, query.pi, query.gpi, query.h
-    n, eta = query.spec.n, query.spec.eta
-    classes: List[HallClassDescriptor] = []
-    pi_q_minus_eps = frozenset(prime_divisors(q - eps))
-    part23 = pi_part(q * q - 1, (2, 3))
-    part235 = pi_part(q * q - 1, (2, 3, 5))
-    s23 = frozenset((2, 3))
-    s235 = frozenset((2, 3, 5))
-
-    def add(case, structure, so, count, conds, fusion=""):
-        classes.append(
-            HallClassDescriptor(f"orthogonal{n}.{case}", structure, so, count,
-                                tuple(conds), fusion)
-        )
-
-    if n == 2:
-        m = pi_part((q - eta) // 2, pi)
-        add("a", f"Z({m})", m, 1, [Condition("cyclic order", str((q - eta) // 2))])
-        return _report(query, TAG_FULL, classes, YES)
-
-    if n == 3:
-        if gpi <= pi_q_minus_eps:
-            m = pi_part(q - eps, pi)
-            add("b", f"D({m})", m, 1,
-                [Condition("pi ∩ pi(G) ⊆ pi(q-eps)", _fmt_set(gpi))])
-        if gpi == s23 and part23 == 24:
-            add("c", "Alt(4)", 12, 1, [Condition("(q^2-1)_{2,3}", "24")])
-        if gpi == s23 and part23 == 48:
-            add("d", "Sym(4)", 24, 2, [Condition("(q^2-1)_{2,3}", "48")],
-                "SO3(q) interchanges the two classes")
-        if gpi == s235 and part235 == 120:
-            add("e", "Alt(5)", 60, 2, [Condition("(q^2-1)_{2,3,5}", "120")],
-                "SO3(q) interchanges the two classes")
-    elif n == 4 and eta == 1:
-        qe23 = pi_part(q - eps, (2, 3))
-        qe235 = pi_part(q - eps, (2, 3, 5))
-        if gpi <= pi_q_minus_eps:
-            m = pi_part(q - eps, pi)
-            add("f", f"2.D({m}) o 2.D({m})", 2 * m * m, 1,
-                [Condition("pi ∩ pi(G) ⊆ pi(q-eps)", _fmt_set(gpi))])
-        if gpi == s23 and part23 == 24:
-            add("g", "SL2(3) o SL2(3)", 288, 1, [Condition("(q^2-1)_{2,3}", "24")])
-        if gpi == s23 and qe23 == 12:
-            add("h", "2.D(12) o SL2(3)", 288, 2, [Condition("(q-eps)_{2,3}", "12")],
-                "SO4+(q) stabilizes the classes; O4+(q) interchanges them")
-        if gpi == s23 and part23 == 48:
-            add("i", "2.Sym(4) o 2.Sym(4)", 1152, 4, [Condition("(q^2-1)_{2,3}", "48")],
-                "SO4+ \\ Omega4+ induces an involution of shape (ij)(kl) on the classes")
-        if gpi == s23 and qe23 == 24:
-            add("j", "2.D(24) o 2.Sym(4)", 1152, 4, [Condition("(q-eps)_{2,3}", "24")],
-                "O4+ \\ Omega4+ induces an involution of shape (ij)(kl) on the classes")
-        if gpi == s235 and part235 == 120:
-            add("k", "SL2(5) o SL2(5)", 7200, 4, [Condition("(q^2-1)_{2,3,5}", "120")],
-                "SO4+ \\ Omega4+ induces an involution of shape (ij)(kl) on the classes")
-        if gpi == s235 and qe235 == 60:
-            add("l", "2.D(60) o SL2(5)", 7200, 4, [Condition("(q-eps)_{2,3,5}", "60")],
-                "O4+ \\ Omega4+ induces an involution of shape (ij)(kl) on the classes")
-    elif n == 4 and eta == -1:
-        if gpi <= frozenset(prime_divisors(q * q - 1)):
-            m = pi_part(q * q - 1, pi)
-            add("m", f"D({m})", m, 1,
-                [Condition("pi ∩ pi(G) ⊆ pi(q^2-1)", _fmt_set(gpi))])
-        if gpi == s23 and part23 == 24:
-            add("n", "Sym(4)", 24, 2, [Condition("(q^2-1)_{2,3}", "24")],
-                "invariant under O4-(q); GO4-(q) interchanges the two classes")
-    elif n == 5:
-        if gpi <= pi_q_minus_eps:
-            m = pi_part(q - eps, pi)
-            add("o", f"(2.D({m}) o 2.D({m})) . 2", 4 * m * m, 1,
-                [Condition("pi ∩ pi(G) ⊆ pi(q-eps)", _fmt_set(gpi))])
-        if gpi == s23 and part23 == 24:
-            add("p", "(2.Alt(4) o 2.Alt(4)) . 2", 576, 1,
-                [Condition("(q^2-1)_{2,3}", "24")])
-        if gpi == s23 and part23 == 48:
-            add("q", "(2.Sym(4) o 2.Sym(4)) . 2", 2304, 2,
-                [Condition("(q^2-1)_{2,3}", "48")], "SO5(q) interchanges the two classes")
-        if gpi == s235 and part235 == 120:
-            add("r", "(SL2(5) o SL2(5)) . 2", 14400, 2,
-                [Condition("(q^2-1)_{2,3,5}", "120")], "SO5(q) interchanges the two classes")
-    elif n == 6:
-        # torus rows, with conditions matching the 4-dimensional linear or
-        # unitary group this Omega is a central image of
-        if eta == eps and gpi <= pi_q_minus_eps and (q - eps) % 3 == 0:
-            add("s", f"Hall(D({2 * (q - eps)}) wr Sym(3) in Omega)", h, 1,
-                [Condition("pi ∩ pi(G)", _fmt_set(gpi)),
-                 Condition("3 | q-eps", str(q - eps))])
-        if eta == -eps and gpi <= pi_q_minus_eps:
-            add("t", f"Hall(D({2 * (q - eps)}) x D({2 * (q - eps)}) x D({2 * (q + eps)}) in Omega)",
-                h, 1, [Condition("pi ∩ pi(G)", _fmt_set(gpi))])
-        if (q + eta) % 3 == 0 and gpi == s23 and part23 == 24:
-            add("u", f"Hall((Z({r_part(q - eta, 2)}) o 2.Sym(4) o 2.Sym(4)) . 2 in Omega)",
-                h, 1, [Condition("(q^2-1)_{2,3}", "24"),
-                       Condition("q = -eta (mod 3)", str(q % 3))])
-        if (
-            eta == eps
-            and q % 8 in (3, 5)
-            and gpi == s235
-            and part23 == 24
-            and r_part(q * q + 1, 5) == 5
-            and (q + eta) % 3 == 0
-        ):
-            add("v", "2^5.Alt(6)", 11520, 2,
-                [Condition("(q^2-1)_{2,3}", "24"), Condition("(q^2+1)_5", "5"),
-                 Condition("q mod 8", str(q % 8))],
-                "invariant under O6(q); the similarity group interchanges the two classes")
-    return _report(query, TAG_FULL, classes, NO)
+    rewrites or rejects the simple variants, so only isometry groups get here.
+    D_pi holds in the cyclic Omega2."""
+    n = query.spec.n
+    classes = _fire(query, _ORTHOGONAL_SMALL_ROWS[n, query.spec.eta if n == 4 else None])
+    return _report(query, TAG_FULL, classes, YES if n == 2 else NO)
 
 
-# expected pi-parts of |Omega_n(q)| in the three exotic constant cases
+def _split_torus(query: _Query) -> bool:
+    """q = eps (mod 12) and pi ∩ pi(G) ⊆ pi(q-eps)."""
+    return (query.q - query.eps) % 12 == 0 and _torus(query)
+
+
+def _torus_wreath(query: _Query, m: int) -> bool:
+    return _split_torus(query) and sym_hall_case(m, query.pi) is not None
+
+
+def _odd_torus(query: _Query) -> bool:
+    return query.spec.n % 2 == 1 and _torus_wreath(query, query.spec.n // 2)
+
+
+def _even_torus(query: _Query) -> bool:
+    n = query.spec.n
+    return n % 2 == 0 and query.spec.eta == query.eps ** (n // 2) and _torus_wreath(query, n // 2)
+
+
+def _even_twisted_torus(query: _Query) -> bool:
+    n = query.spec.n
+    return (n % 2 == 0 and query.spec.eta == -(query.eps ** (n // 2))
+            and _torus_wreath(query, n // 2 - 1))
+
+
+def _omega11_blocks(query: _Query) -> bool:
+    return query.spec.n == 11 and _split_torus(query) and _alt4(query)
+
+
+def _omega12_minus_blocks(query: _Query) -> bool:
+    spec = query.spec
+    return spec.n == 12 and spec.eta == -1 and _split_torus(query) and _alt4(query)
+
+
+def _dq(query: _Query) -> str:
+    return f"D({2 * (query.q - query.eps)})"
+
+
+_MOD12 = (
+    ("q = eps (mod 12)", lambda qy: f"q = {qy.q}, eps = {'+' if qy.eps == 1 else '-'}"),
+    _GPI,
+)
+
+_ORTHOGONAL_ROWS = (
+    ("orthogonal.a", _odd_torus,
+     lambda qy: f"Hall({_dq(qy)} wr Sym({qy.spec.n // 2}) x Z(2))", _HALL, 1, _MOD12, ""),
+    ("orthogonal.b", _even_torus,
+     lambda qy: f"Hall({_dq(qy)} wr Sym({qy.spec.n // 2}))", _HALL, 1, _MOD12, ""),
+    ("orthogonal.c", _even_twisted_torus,
+     lambda qy: f"Hall({_dq(qy)} wr Sym({qy.spec.n // 2 - 1}) x D({2 * (qy.q + qy.eps)}))",
+     _HALL, 1, _MOD12, ""),
+    ("orthogonal.d", _omega11_blocks,
+     lambda qy: f"Hall({_dq(qy)} wr Sym(4) x Z(2) wr Sym(3))", _HALL, 1, _MOD12 + (_Q24,), ""),
+    ("orthogonal.e", _omega12_minus_blocks,
+     lambda qy: f"Hall({_dq(qy)} wr Sym(4) x Z(2) wr Sym(3) x Z(2))", _HALL, 2,
+     _MOD12 + (_Q24,), "the similarity group interchanges the two classes"),
+)
+
+# n -> (structure, expected pi-part of |Omega_n(q)|, class count, fusion) in the
+# three exotic constant cases, rows f, g and h, with pi ∩ pi(G) = {2,3,5,7}
 _OMEGA_EXOTIC = {
-    7: ("Omega7(2)", 2**9 * 3**4 * 5 * 7),
-    8: ("2.Omega8+(2)", 2**13 * 3**5 * 5**2 * 7),
-    9: ("2.Omega8+(2).2", 2**14 * 3**5 * 5**2 * 7),
+    7: ("Omega7(2)", 2**9 * 3**4 * 5 * 7, 2, _SO_SWAP.format("SO7(q)")),
+    8: ("2.Omega8+(2)", 2**13 * 3**5 * 5**2 * 7, 4,
+        "diagonal and graph outer automorphisms act on the four classes as Sym(4); "
+        "diagonal ones act without fixed points"),
+    9: ("2.Omega8+(2).2", 2**14 * 3**5 * 5**2 * 7, 2, _SO_SWAP.format("SO9(q)")),
 }
 
 
 def _orthogonal_large(query: _Query) -> HallReport:
     """Orthogonal groups of dimension >= 7 by the general criteria."""
-    spec, q, eps, pi, gpi, h = query.spec, query.q, query.eps, query.pi, query.gpi, query.h
-    n, eta = spec.n, spec.eta
-    classes: List[HallClassDescriptor] = []
-    pi_q_minus_eps = frozenset(prime_divisors(q - eps))
-    cond_mod12 = (q - eps) % 12 == 0
-    torus_ok = cond_mod12 and gpi <= pi_q_minus_eps
-    part23 = pi_part(q * q - 1, (2, 3))
-    m = n // 2
-
-    def add(case, structure, so, count, conds, fusion=""):
-        classes.append(
-            HallClassDescriptor(f"orthogonal.{case}", structure, so, count,
-                                tuple(conds), fusion)
-        )
-
-    base_conds = [
-        Condition("q = eps (mod 12)", f"q = {q}, eps = {'+' if eps == 1 else '-'}"),
-        Condition("pi ∩ pi(G)", _fmt_set(gpi)),
-    ]
-    if n % 2 == 1:
-        if torus_ok and sym_hall_case(m, pi) is not None:
-            add("a", f"Hall(D({2 * (q - eps)}) wr Sym({m}) x Z(2))", h, 1, base_conds)
-    else:
-        if torus_ok and eta == eps**m and sym_hall_case(m, pi) is not None:
-            add("b", f"Hall(D({2 * (q - eps)}) wr Sym({m}))", h, 1, base_conds)
-        if torus_ok and eta == -(eps**m) and sym_hall_case(m - 1, pi) is not None:
-            add("c", f"Hall(D({2 * (q - eps)}) wr Sym({m - 1}) x D({2 * (q + eps)}))",
-                h, 1, base_conds)
-    if n == 11 and cond_mod12 and gpi == frozenset((2, 3)) and part23 == 24:
-        add("d", f"Hall(D({2 * (q - eps)}) wr Sym(4) x Z(2) wr Sym(3))", h, 1,
-            base_conds + [Condition("(q^2-1)_{2,3}", "24")])
-    if n == 12 and eta == -1 and cond_mod12 and gpi == frozenset((2, 3)) and part23 == 24:
-        add("e", f"Hall(D({2 * (q - eps)}) wr Sym(4) x Z(2) wr Sym(3) x Z(2))", h, 2,
-            base_conds + [Condition("(q^2-1)_{2,3}", "24")],
-            "the similarity group interchanges the two classes")
-    if n in _OMEGA_EXOTIC and gpi == frozenset((2, 3, 5, 7)):
-        name, omega_pi = _OMEGA_EXOTIC[n]
-        omega = GroupSpec(ORTHOGONAL, n=n, q=q, eta=eta, variant=ISOMETRY)
-        if (n != 8 or eta == 1) and _query(omega, pi).h == omega_pi:
+    spec, n, eta = query.spec, query.spec.n, query.spec.eta
+    classes = _fire(query, _ORTHOGONAL_ROWS)
+    if n in _OMEGA_EXOTIC and query.gpi == frozenset((2, 3, 5, 7)) and (n != 8 or eta == 1):
+        structure, omega_pi, count, fusion = _OMEGA_EXOTIC[n]
+        omega = GroupSpec(ORTHOGONAL, n=n, q=query.q, eta=eta, variant=ISOMETRY)
+        if _query(omega, query.pi).h == omega_pi:
+            so = omega_pi
             if spec.variant == SIMPLE and n == 8:
                 structure, so = "Omega8+(2)", omega_pi // 2
-            else:
-                structure, so = name, omega_pi
-            count = {7: 2, 8: 4, 9: 2}[n]
-            fusion = {
-                7: "SO7(q) interchanges the two classes",
-                8: "diagonal and graph outer automorphisms act on the four classes as Sym(4); diagonal ones act without fixed points",
-                9: "SO9(q) interchanges the two classes",
-            }[n]
-            add("fgh"[n - 7], structure, so, count,
-                [Condition("pi ∩ pi(G)", "{2,3,5,7}"),
-                 Condition("|Omega|_pi", str(omega_pi))], fusion)
-    rep = _report(query, TAG_FULL, classes, NO)
-    if rep.k_pi is not None and rep.k_pi not in (0, 1, 2, 3, 4):
-        raise RuntimeError(f"orthogonal class count {rep.k_pi} outside {{1,2,3,4}}")
-    return rep
+            conds = (Condition("pi ∩ pi(G)", "{2,3,5,7}"), Condition("|Omega|_pi", str(omega_pi)))
+            case_id = f"orthogonal.{'fgh'[n - 7]}"
+            classes.append(HallClassDescriptor(case_id, structure, so, count, conds, fusion))
+    return _checked(_report(query, TAG_FULL, classes, NO), "orthogonal", (0, 1, 2, 3, 4))
 
 
 # ---------------------------------------------------------------------------
 # exceptional groups
 
 
+def _g2_exotic(query: _Query) -> bool:
+    q = query.q
+    return (query.gpi == frozenset((2, 3, 7)) and pi_part(q * q - 1, (2, 3, 7)) == 24
+            and r_part(q**4 + q**2 + 1, 7) == 7)
+
+
+def _e6_split_torus(query: _Query) -> bool:
+    return query.spec.eta == query.eps and 5 in query.pi and _torus(query)
+
+
+def _e6_twisted_torus(query: _Query) -> bool:
+    return query.spec.eta != query.eps and _torus(query)
+
+
+def _torus57(query: _Query) -> bool:
+    return 5 in query.pi and 7 in query.pi and _torus(query)
+
+
+def _zq(query: _Query) -> str:
+    return f"Z({query.q - query.eps})"
+
+
+_TORUS_BASE = (_GPI, _PI_TORUS)
+_PI57 = ("5,7 in pi", lambda qy: str(sorted(qy.pi)))
+
+# family -> rows; at most one row holds, since G2(2) needs 7 outside pi(q^2-1)
+# where the G2 torus needs it in pi(q-eps), and the E6 rows need eta = eps and eta = -eps
+_EXCEPTIONAL_ROWS = {
+    G2: (
+        ("g2.a", _g2_exotic, "G2(2)", 12096, 1,
+         (("(q^2-1)_{2,3,7}", "24"), ("(q^4+q^2+1)_7", "7")), ""),
+        ("g2.b", _torus, lambda qy: f"Hall({_zq(qy)}^2 . W(G2))", _HALL, 1, _TORUS_BASE, ""),
+    ),
+    F4: (("f4.torus", _torus, lambda qy: f"Hall({_zq(qy)}^4 . W(F4))", _HALL, 1, _TORUS_BASE, ""),),
+    E6: (
+        ("e6.torus", _e6_split_torus,
+         lambda qy: f"Hall({_zq(qy)}^6 / Z({math.gcd(3, qy.q - qy.eps)}) . W(E6))", _HALL, 1,
+         _TORUS_BASE + (("5 in pi", "True"),), ""),
+        ("e6.torus", _e6_twisted_torus,
+         lambda qy: f"Hall(Z({qy.q * qy.q - 1})^2 x Z({qy.q + qy.spec.eta})^2 . W(F4))", _HALL, 1,
+         _TORUS_BASE, ""),
+    ),
+    E7: (("e7.torus", _torus57, lambda qy: f"Hall({_zq(qy)}^7 / Z(2) . W(E7))", _HALL, 1,
+          _TORUS_BASE + (_PI57,), ""),),
+    E8: (("e8.torus", _torus57, lambda qy: f"Hall({_zq(qy)}^8 . W(E8))", _HALL, 1,
+          _TORUS_BASE + (_PI57,), ""),),
+    TRI_D4: (("3d4.torus", _torus, lambda qy: f"Hall({_zq(qy)} x Z({qy.q**3 - qy.eps}) . W(G2))",
+              _HALL, 1, _TORUS_BASE, ""),),
+}
+
+
 def _exceptional(query: _Query) -> HallReport:
     """G2, F4, E6, E7, E8 and 3D4; 2G2 never gets here, since 3 in pi puts
     its characteristic in pi."""
-    q, eps, pi, gpi, h = query.q, query.eps, query.pi, query.gpi, query.h
-    family, eta = query.spec.family, query.spec.eta
-    pi_q_minus_eps = frozenset(prime_divisors(q - eps))
-    torus = gpi <= pi_q_minus_eps
-    classes: List[HallClassDescriptor] = []
-    base = [
-        Condition("pi ∩ pi(G)", _fmt_set(gpi)),
-        Condition("pi(q-eps)", _fmt_set(pi_q_minus_eps)),
-    ]
-
-    if family == G2:
-        if (
-            gpi == frozenset((2, 3, 7))
-            and pi_part(q * q - 1, (2, 3, 7)) == 24
-            and r_part(q**4 + q**2 + 1, 7) == 7
-        ):
-            classes.append(
-                HallClassDescriptor(
-                    "g2.a", "G2(2)", 12096, 1,
-                    (Condition("(q^2-1)_{2,3,7}", "24"),
-                     Condition("(q^4+q^2+1)_7", "7")),
-                )
-            )
-        elif torus:
-            classes.append(
-                HallClassDescriptor(
-                    "g2.b", f"Hall(Z({q - eps})^2 . W(G2))", h, 1, tuple(base)
-                )
-            )
-    elif family == F4:
-        if torus:
-            classes.append(
-                HallClassDescriptor(
-                    "f4.torus", f"Hall(Z({q - eps})^4 . W(F4))", h, 1, tuple(base)
-                )
-            )
-    elif family == E6:
-        if torus and (eta != eps or 5 in pi):
-            if eta == eps:
-                structure = f"Hall(Z({q - eta})^6 / Z({math.gcd(3, q - eta)}) . W(E6))"
-                conds = tuple(base) + (Condition("5 in pi", str(5 in pi)),)
-            else:
-                structure = f"Hall(Z({q * q - 1})^2 x Z({q + eta})^2 . W(F4))"
-                conds = tuple(base)
-            classes.append(HallClassDescriptor("e6.torus", structure, h, 1, conds))
-    elif family in (E7, E8):
-        if torus and 5 in pi and 7 in pi:
-            rank = 7 if family == E7 else 8
-            div = " / Z(2)" if family == E7 else ""
-            classes.append(
-                HallClassDescriptor(
-                    f"{family.lower()}.torus",
-                    f"Hall(Z({q - eps})^{rank}{div} . W({family}))",
-                    h, 1,
-                    tuple(base) + (Condition("5,7 in pi", str(sorted(pi))),),
-                )
-            )
-    elif family == TRI_D4:
-        if torus:
-            classes.append(
-                HallClassDescriptor(
-                    "3d4.torus",
-                    f"Hall(Z({q - eps}) x Z({q**3 - eps}) . W(G2))",
-                    h, 1, tuple(base),
-                )
-            )
-    rep = _report(query, TAG_FULL, classes, NO)
-    if rep.k_pi is not None and rep.k_pi > 1:
-        raise RuntimeError("exceptional families have at most one class")
-    return rep
+    classes = _fire(query, _EXCEPTIONAL_ROWS[query.spec.family])
+    return _checked(_report(query, TAG_FULL, classes, NO), "exceptional", (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -1011,7 +997,12 @@ def _small_ree(query: _Query) -> Optional[HallReport]:
 
 def classify(spec: GroupSpec, pi: PrimeSet) -> HallReport:
     """Full decision procedure: validates, normalizes, and dispatches."""
-    return _dispatch(_query(validate(spec), PrimeSet(pi)))
+    return _classify_valid(validate(spec), pi)
+
+
+def _classify_valid(spec: GroupSpec, pi: PrimeSet) -> HallReport:
+    """classify for a spec that validate returned, which is not validated again."""
+    return _dispatch(_query(spec, PrimeSet(pi)))
 
 
 def _dispatch(query: _Query) -> HallReport:
@@ -1087,23 +1078,23 @@ def kpi_bound_almost_simple(
     """Bound set (and exact value where determined) for the number of classes
     of overgroup-induced Hall subgroups of the simple socle."""
     pi = PrimeSet(pi)
-    spec = validate(spec)
     report = classify(spec, pi)
+    family = report.spec.family
     if outer_description == "trivial":
         if report.k_pi is not None:
             return InducedBound((report.k_pi,), report.k_pi, "socle classification")
         return InducedBound(report.k_bound, None, "socle bound")
 
     _, bound = _regime(pi)
-    if spec.family == ALT:
+    if family == ALT:
         if report.k_pi is not None:
             return InducedBound(
                 (report.k_pi,), report.k_pi,
                 "symmetric-group-induced classes equal the socle classes",
             )
-    if spec.family == SYMPLECTIC and report.k_pi == 9:
+    if family == SYMPLECTIC and report.k_pi == 9:
         return InducedBound((1, 9), None, "wreath-type classes fuse to 1 or stay 9")
-    if spec.family == TWO_G2 and report.k_pi == 2 and report.scope_tag == TAG_NO_3:
+    if family == TWO_G2 and report.k_pi == 2 and report.scope_tag == TAG_NO_3:
         return InducedBound(
             (2,), 2, "nonisomorphic Hall subgroups cannot fuse under automorphisms"
         )

@@ -31,6 +31,7 @@ from pihall.classify import (
     BOUND_FULL,
     HallReport,
     OUT_OF_SCOPE,
+    _classify_valid,
     classify,
     kpi_bound_almost_simple,
 )
@@ -272,7 +273,7 @@ def run_sweep(
             skipped.append(f"{_safe_name(spec)}: {exc}")
             continue
         for pi in pi_list:
-            reports.append(classify(vspec, pi))
+            reports.append(_classify_valid(vspec, pi))
     return reports, skipped
 
 

@@ -5,7 +5,9 @@ regenerate them (pihall classify ... --out tests/golden/<name>, or
 pihall verify --format json --out tests/golden/verify_default.json).
 """
 
+import functools
 import hashlib
+import importlib
 import json
 import pathlib
 
@@ -78,10 +80,19 @@ def test_default_sweep_csv_hash(capsys):
 DEFAULT_SWEEP_REPORTS_SHA256 = "9da7293cb2d4afd4e5030dab78d58a7a9846449858379538d8dce9e54dd53e12"
 
 
-def test_default_sweep_reports_hash():
-    reports, _ = run_sweep(default_grid_specs(), [parse_pi(t) for t in DEFAULT_PI_LIST])
+def _hash(reports) -> str:
     text = "".join(render_json(report_to_dict(r)) for r in reports)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DEFAULT_SWEEP_REPORTS_SHA256
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def default_sweep_reports():
+    reports, _ = run_sweep(default_grid_specs(), [parse_pi(t) for t in DEFAULT_PI_LIST])
+    return tuple(reports)
+
+
+def test_default_sweep_reports_hash():
+    assert _hash(default_sweep_reports()) == DEFAULT_SWEEP_REPORTS_SHA256
 
 
 def pinned_variant_names():
@@ -105,20 +116,19 @@ def pinned_variant_names():
 PINNED_VARIANTS_SHA256 = "b3a07ec4d53391bb4e6f64dfaa1f4cda3a42bf7d2fa5a94c6bef3b3527deba97"
 
 
-def test_pinned_variants_reports_hash():
-    names = pinned_variant_names()
-    assert len(names) == 940
+@functools.lru_cache(maxsize=None)
+def pinned_variant_reports():
     pis = [parse_pi(t) for t in DEFAULT_PI_LIST + ["2,3,5,7,11"]]
-    text = "".join(
-        render_json(report_to_dict(classify(validate(parse_group(name)), pi)))
-        for name in names
-        for pi in pis
-    )
-    text += "".join(
-        render_json(report_to_dict(classify(parse_group(name), PrimeSet((2, 7)))))
-        for name in ("2G2(27)", "2G2(19683)")
-    )
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_VARIANTS_SHA256
+    reports = [
+        classify(validate(parse_group(name)), pi) for name in pinned_variant_names() for pi in pis
+    ]
+    reports += [classify(parse_group(name), PrimeSet((2, 7))) for name in ("2G2(27)", "2G2(19683)")]
+    return tuple(reports)
+
+
+def test_pinned_variants_reports_hash():
+    assert len(pinned_variant_names()) == 940
+    assert _hash(pinned_variant_reports()) == PINNED_VARIANTS_SHA256
 
 
 # E6(61) with pi = {2,3,5}: 61 - 1 = 60 holds every prime of pi, so the torus row
@@ -126,11 +136,13 @@ def test_pinned_variants_reports_hash():
 E6_TORUS_SHA256 = "10d2cf15e77e24e45742cab4bc23379047083d138d868bc619444be6a9adb6fa"
 
 
+def e6_torus_reports():
+    return (classify(parse_group("E6(61)"), parse_pi("2,3,5")),)
+
+
 def test_e6_torus_report_hash():
-    report = classify(parse_group("E6(61)"), parse_pi("2,3,5"))
-    assert [c.case_id for c in report.classes] == ["e6.torus"]
-    text = render_json(report_to_dict(report))
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == E6_TORUS_SHA256
+    assert [c.case_id for c in e6_torus_reports()[0].classes] == ["e6.torus"]
+    assert _hash(e6_torus_reports()) == E6_TORUS_SHA256
 
 
 # the default cells under the prime sets that leave out 2 or 3, as JSON reports
@@ -139,12 +151,18 @@ SECOND_GRID_PI_LIST = ["3,5", "3,7", "5,7", "3,5,7", "2,5", "2,7", "2,5,7"]
 SECOND_GRID_SHA256 = "c5fd3f2884fed0b2268c711c90e37d7510939574967e55365753d1d16cd48e51"
 
 
-def test_second_grid_reports_hash():
+@functools.lru_cache(maxsize=None)
+def second_grid_reports():
     reports, skipped = run_sweep(default_grid_specs(), [parse_pi(t) for t in SECOND_GRID_PI_LIST])
-    assert (len(reports), len(skipped)) == (6713, 5)
+    assert len(skipped) == 5
+    return tuple(reports)
+
+
+def test_second_grid_reports_hash():
+    reports = second_grid_reports()
+    assert len(reports) == 6713
     assert sum(r.k_pi is None for r in reports) == 6108
-    text = "".join(render_json(report_to_dict(r)) for r in reports)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SECOND_GRID_SHA256
+    assert _hash(reports) == SECOND_GRID_SHA256
 
 
 # rows no other pin reaches: the E7 and E8 tori (421 - 1 = 420 holds 2, 3, 5 and 7)
@@ -153,11 +171,31 @@ RARE_ROWS = [("E7(421)", "e7.torus"), ("E8(421)", "e8.torus"), ("O+(10,2)", "def
 RARE_ROWS_SHA256 = "f80501d8b1ec263b9e985f59e9f5fea33291f2686d0fb628644e1873ef1fa49e"
 
 
+def rare_row_reports():
+    return tuple(classify(parse_group(name), parse_pi("2,3,5,7")) for name, _ in RARE_ROWS)
+
+
 def test_rare_rows_reports_hash():
-    reports = [classify(parse_group(name), parse_pi("2,3,5,7")) for name, _ in RARE_ROWS]
+    reports = rare_row_reports()
     assert [[c.case_id for c in r.classes] for r in reports] == [[cid] for _, cid in RARE_ROWS]
-    text = "".join(render_json(report_to_dict(r)) for r in reports)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RARE_ROWS_SHA256
+    assert _hash(reports) == RARE_ROWS_SHA256
+
+
+def test_every_table_row_is_pinned():
+    """Each row of the classifier's tables emits a class in some hashed report, so
+    a change to any row's structure, order, count, conditions or fusion shows."""
+    c = importlib.import_module("pihall.classify")
+    tables = [c._SL2_ROWS, c._GL2_ROWS, c._LINEAR_UNITARY_ROWS, c._ORTHOGONAL_ROWS,
+              *c._ORTHOGONAL_SMALL_ROWS.values(), *c._EXCEPTIONAL_ROWS.values()]
+    # a case id with the names of its conditions tells apart the two E6 torus rows
+    rows = {(row[0], tuple(name for name, _ in row[5])) for table in tables for row in table}
+    assert len(rows) == 42
+    reports = (default_sweep_reports() + pinned_variant_reports() + e6_torus_reports()
+               + second_grid_reports() + rare_row_reports())
+    reached = {
+        (d.case_id, tuple(cond.name for cond in d.conditions)) for r in reports for d in r.classes
+    }
+    assert sorted(rows - reached) == []
 
 
 def test_out_flag_matches_stdout(tmp_path, capsys):
