@@ -15,11 +15,12 @@ rows, walked in order by _fire.  A row is a plain tuple (case id, predicate,
 structure, order, class count, conditions, fusion note); the predicate takes
 the _Query, and the structure, the order and each condition's value are
 constants or functions of it.  The shared predicates (_torus, _spectrum and
-the _dickson tests of PSL2(q)) sit above the tables and read facts that
-_Query computes on first use.  To add a row, append its tuple to the family's
-table where its classes should be listed; name a shared predicate, or define
-a new one once next to the table.  Rules that recurse into a sub-query or
-loop stay functions, and read the same predicates.
+the _dickson tests of PSL2(q)) sit above the tables and read the facts of the
+query's spec, which groups._spec_facts finds once per spec.  To add a row,
+append its tuple to the family's table where its classes should be listed;
+name a shared predicate, or define a new one once next to the table.  Rules
+that recurse into a sub-query or loop stay functions, and read the same
+predicates.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from pihall.arith import (
     PrimeSet,
-    epsilon,
     is_prime,
     pi_part,
     prime_divisors,
@@ -58,8 +58,8 @@ from pihall.groups import (
     TWO_G2,
     GroupSpec,
     _lie_formula,
+    _spec_facts,
     format_group,
-    order,
     validate,
 )
 
@@ -90,13 +90,13 @@ def _regime(pi: PrimeSet) -> Tuple[str, Tuple[int, ...]]:
     return TAG_FULL, BOUND_FULL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Condition:
     name: str
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HallClassDescriptor:
     """One family of conjugacy classes of pi-Hall subgroups."""
 
@@ -112,7 +112,7 @@ class HallClassDescriptor:
             raise ValueError("class_count must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HallReport:
     spec: GroupSpec
     pi: PrimeSet
@@ -143,36 +143,23 @@ def _fmt_set(s: Iterable[int]) -> str:
 
 
 class _Query:
-    """One query and the facts every family rule reads: |G|, pi ∩ pi(G)
-    (found by divisibility, so |G| is never factored) and h = |G|_pi; for
-    Lie type also q, its characteristic p and eps = epsilon(q) (None for even q).
+    """One query and the facts every family rule reads: |G|, pi ∩ pi(G) and
+    h = |G|_pi; for Lie type also q, its characteristic p and eps = epsilon(q)
+    (None for even q).
 
-    The cross-characteristic rows also read (q^2-1)_{2,3}, (q^2-1)_{2,3,5},
-    (q-eps)_{2,3}, (q-eps)_{2,3,5} and (q-eps)_pi.  Each is computed on its first
-    read and kept, so a query that no such row tests never computes them.  The
-    rules only read a query; it is a plain class, not a dataclass, to keep the
-    module's import cheap."""
+    All but pi ∩ pi(G) and h depend on the spec alone, so they come from the
+    spec's facts (groups._spec_facts), which every prime set and sub-query of
+    the spec shares: |G| is found once per spec and each |G|_r once per spec
+    and prime r, and pi ∩ pi(G) is read off those r-parts, so |G| is never
+    factored.  The cross-characteristic rows also read (q^2-1)_{2,3},
+    (q^2-1)_{2,3,5}, (q-eps)_{2,3} and (q-eps)_{2,3,5} from the facts, and
+    (q-eps)_pi, which is computed on its first read and kept.  The rules only
+    read a query; it is a plain class, not a dataclass, to keep the module's
+    import cheap."""
 
-    def __init__(self, spec: GroupSpec, pi: PrimeSet, order: int, gpi: frozenset, h: int,
-                 q: Optional[int], p: Optional[int], eps: Optional[int]) -> None:
-        self.spec, self.pi, self.order, self.gpi, self.h = spec, pi, order, gpi, h
-        self.q, self.p, self.eps = q, p, eps
-
-    @cached_property
-    def part23(self) -> int:
-        return pi_part(self.q * self.q - 1, (2, 3))
-
-    @cached_property
-    def part235(self) -> int:
-        return pi_part(self.q * self.q - 1, (2, 3, 5))
-
-    @cached_property
-    def torus23(self) -> int:
-        return pi_part(self.q - self.eps, (2, 3))
-
-    @cached_property
-    def torus235(self) -> int:
-        return pi_part(self.q - self.eps, (2, 3, 5))
+    def __init__(self, spec: GroupSpec, pi: PrimeSet, facts, gpi: frozenset, h: int) -> None:
+        self.spec, self.pi, self.facts, self.gpi, self.h = spec, pi, facts, gpi, h
+        self.order, self.q, self.p, self.eps = facts.order, facts.q, facts.p, facts.eps
 
     @cached_property
     def torus_pi(self) -> int:
@@ -184,12 +171,16 @@ class _Query:
 
 
 def _query(spec: GroupSpec, pi: PrimeSet) -> _Query:
-    """The facts of a validated spec under pi."""
-    g = order(spec)
-    gpi = frozenset(r for r in pi if g % r == 0)
-    q = spec.q
-    eps = epsilon(q) if q is not None and q % 2 else None
-    return _Query(spec, pi, g, gpi, pi_part(g, gpi), q, spec.p, eps)
+    """The facts of a validated spec under pi: pi ∩ pi(G) and h = |G|_pi are
+    read off the spec's r-parts, one lookup per prime of pi."""
+    facts = _spec_facts(spec)
+    h, gpi = 1, []
+    for r in pi:
+        part = facts.r_part(r)
+        if part > 1:
+            h *= part
+            gpi.append(r)
+    return _Query(spec, pi, facts, frozenset(gpi), h)
 
 
 def _report(
@@ -286,7 +277,8 @@ def sym_hall_case(n: int, pi: PrimeSet) -> Optional[SymHallCase]:
         return SymHallCase("a", _prime_power_structure(rr, e), _digit_sum(n, rr))
     if primes_n <= frozenset(pi) and n >= 5:
         return SymHallCase("c", f"Sym({n})", 1)
-    if n >= 7 and is_prime(n) and gpi == frozenset(prime_divisors(math.factorial(n - 1))):
+    # the primes of (n-1)! are those below n
+    if n >= 7 and is_prime(n) and gpi == primes_n - {n}:
         return SymHallCase("b", f"Sym({n - 1})", 2)
     if gpi == frozenset((2, 3)) and n in _SYM_D_STRUCTURE:
         return SymHallCase("d", *_SYM_D_STRUCTURE[n])
@@ -359,9 +351,9 @@ def _spectrum(query: _Query) -> bool:
 
 
 def _dickson(fact: str, primes: Tuple[int, ...], value: int):
-    """The predicate pi ∩ pi(G) = primes and the _Query fact named `fact` = value."""
+    """The predicate pi ∩ pi(G) = primes and the spec fact named `fact` = value."""
     primes = frozenset(primes)
-    return lambda query: query.gpi == primes and getattr(query, fact) == value
+    return lambda query: query.gpi == primes and getattr(query.facts, fact) == value
 
 
 _alt4 = _dickson("part23", (2, 3), 24)  # (q^2-1)_{2,3} = 24
@@ -476,7 +468,8 @@ def _linear_unitary(query: _Query) -> HallReport:
             return None
         checked = []
         for rr in sorted(r for r in pi if r <= n and (q - eta) % r):
-            g_r = r_part(query.order * center, rr)
+            # |SL_n^eta(q)|_r = |G|_r * |Z|_r, as r_part(ab) = r_part(a) * r_part(b)
+            g_r = query.facts.r_part(rr) * r_part(center, rr)
             s_r = r_part(math.factorial(n), rr)
             checked.append(Condition(f"|G|_{rr} vs |Sym_n|_{rr}", f"{g_r} vs {s_r}"))
             if g_r != s_r:
@@ -581,7 +574,7 @@ def _o6_sym4(query: _Query) -> bool:
 def _o6_alt6(query: _Query) -> bool:
     q, eta = query.q, query.spec.eta
     return (eta == query.eps and q % 8 in (3, 5) and (q + eta) % 3 == 0
-            and query.gpi == _S235 and query.part23 == 24 and r_part(q * q + 1, 5) == 5)
+            and query.gpi == _S235 and query.facts.part23 == 24 and r_part(q * q + 1, 5) == 5)
 
 
 _SO_SWAP = "{} interchanges the two classes"

@@ -243,21 +243,25 @@ def check_sweep_invariants(reports: Sequence[HallReport]) -> List[str]:
     """Class-number invariants over exact rows; returns violation messages."""
     violations = []
     for rep in reports:
-        name = f"{format_group(rep.spec)} / {{{','.join(map(str, sorted(rep.pi)))}}}"
         if rep.k_pi is None:
             continue
+        found = []
         if rep.k_pi not in BOUND_FULL:
-            violations.append(f"{name}: k={rep.k_pi} outside {set(BOUND_FULL)}")
+            found.append(f"k={rep.k_pi} outside {set(BOUND_FULL)}")
         if rep.k_pi >= 1 and not is_pi_number(rep.k_pi, rep.pi):
-            violations.append(f"{name}: k={rep.k_pi} is not a pi-number")
+            found.append(f"k={rep.k_pi} is not a pi-number")
         if rep.k_pi == 9:
             fam = rep.spec.family
             if fam != SYMPLECTIC or rep.spec.n not in (10, 14):
-                violations.append(f"{name}: k=9 outside the symplectic wreath cases")
+                found.append("k=9 outside the symplectic wreath cases")
         if (rep.c_pi == "yes") != (rep.k_pi == 1):
-            violations.append(f"{name}: c_pi inconsistent with k")
+            found.append("c_pi inconsistent with k")
         if sum(c.class_count for c in rep.classes) != rep.k_pi:
-            violations.append(f"{name}: class counts do not sum to k")
+            found.append("class counts do not sum to k")
+        if found:
+            # the row's name is formatted only for a row that has a violation
+            name = f"{format_group(rep.spec)} / {{{','.join(map(str, sorted(rep.pi)))}}}"
+            violations += [f"{name}: {v}" for v in found]
     return violations
 
 
@@ -379,7 +383,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         try:
             spec = validate(parsed)
             group = concrete_from_spec(spec, budget)
-            report = classify(spec, pi)
+            report = _classify_valid(spec, pi)
             census = find_hall_subgroups(group, tuple(sorted(pi)), budget)
             if not census.exhaustive:
                 # a partial census decides no verdict, either way

@@ -4,7 +4,8 @@ A GroupSpec names a family plus parameters (degree/dimension n, field size
 q = p^a, sign eta, variant).  validate() enforces the parameter invariants
 and rewrites small classical groups along the exceptional isomorphisms so
 that downstream classifiers see one canonical family; order() produces the
-exact group order from its formula, and prime_spectrum() factors only the
+exact group order from its formula, kept with the other facts of the spec
+that classify reads under every pi, and prime_spectrum() factors only the
 formula's cyclotomic pieces.
 """
 
@@ -19,9 +20,11 @@ from typing import Optional, Tuple
 from pihall.arith import (
     PrimeSet,
     _cyclotomic_value,
+    epsilon,
     factorize,
     is_prime,  # not called here; perfbench's tracer test reads groups.is_prime
     prime_divisors,
+    r_part,
 )
 
 ALT = "Alt"
@@ -437,8 +440,7 @@ def _lie_formula(spec: GroupSpec) -> OrderFormula:
     raise InvalidParameter("family", f"no order formula for {f!r}")
 
 
-@lru_cache(maxsize=None)
-def _order_cached(spec: GroupSpec) -> int:
+def _exact_order(spec: GroupSpec) -> int:
     f, n = spec.family, spec.n
     if f == SYM:
         return math.factorial(n)
@@ -449,9 +451,48 @@ def _order_cached(spec: GroupSpec) -> int:
     return _lie_formula(spec).value()
 
 
+class _SpecFacts:
+    """What every query of one validated spec reads, whatever its pi: |G|, q,
+    its characteristic p, eps = epsilon(q) (None unless q is odd), and |G|_r
+    for each prime r asked for so far, found on the first request.
+
+    For odd q it also holds the parts of q that the cross-characteristic
+    Hall subgroups of PSL2(q) turn on (Dickson): (q^2-1)_{2,3}, (q^2-1)_{2,3,5},
+    (q-eps)_{2,3} and (q-eps)_{2,3,5}; None otherwise."""
+
+    __slots__ = ("order", "q", "p", "eps", "part23", "part235", "torus23", "torus235", "_r_parts")
+
+    def __init__(self, spec: GroupSpec) -> None:
+        self.order = _exact_order(spec)
+        q = self.q = spec.q
+        self.p = spec.p
+        self.eps = self.part23 = self.part235 = self.torus23 = self.torus235 = None
+        if q is not None and q % 2:
+            self.eps = epsilon(q)
+            square, torus = q * q - 1, q - self.eps
+            self.part23 = r_part(square, 2) * r_part(square, 3)
+            self.part235 = self.part23 * r_part(square, 5)
+            self.torus23 = r_part(torus, 2) * r_part(torus, 3)
+            self.torus235 = self.torus23 * r_part(torus, 5)
+        self._r_parts = {}
+
+    def r_part(self, r: int) -> int:
+        """|G|_r, divided out of |G| on the first request for r and kept."""
+        part = self._r_parts.get(r)
+        if part is None:
+            part = self._r_parts[r] = r_part(self.order, r)
+        return part
+
+
+@lru_cache(maxsize=None)
+def _spec_facts(spec: GroupSpec) -> _SpecFacts:
+    """The facts of a validated spec, built once per process and spec."""
+    return _SpecFacts(spec)
+
+
 def order(spec: GroupSpec) -> int:
     """Exact order of a validated spec."""
-    return _order_cached(spec)
+    return _spec_facts(spec).order
 
 
 def prime_spectrum(spec: GroupSpec) -> PrimeSet:

@@ -636,9 +636,29 @@ def test_classify_never_factors_the_group_order(text, monkeypatch):
         raise AssertionError(f"Pollard rho called on {n}")
 
     monkeypatch.setattr(arith, "_pollard_rho", refuse)
-    groups._order_cached.cache_clear()
+    groups._spec_facts.cache_clear()
     arith._factor_cached.cache_clear()
     spec = validate(parse_group(text))
     report = classify(spec, PrimeSet((2, 3)))
     assert report.scope_tag == TAG_FULL
     assert report.hall_order == pi_part(order(spec), (2, 3))
+
+
+def test_one_facts_object_per_spec(monkeypatch):
+    """PSL(3,5) under the four default prime sets: {2,3} and {2,3,7} also ask
+    GL(2,5) through the block-diagonal rule, and the two specs are each
+    given one facts object, however many queries read them."""
+    from pihall import groups
+    from pihall.cli import DEFAULT_PI_LIST, parse_pi
+
+    built = []
+    real = groups._SpecFacts
+    monkeypatch.setattr(groups, "_SpecFacts", lambda spec: built.append(spec) or real(spec))
+    groups._spec_facts.cache_clear()
+    spec = validate(parse_group("PSL(3,5)"))
+    reports = [classify(spec, parse_pi(t)) for t in DEFAULT_PI_LIST]
+    assert [[c.case_id for c in r.classes] for r in reports] == [
+        ["linear_unitary.b", "linear_unitary.c"], ["defining.flag(1, 2)"]] * 2
+    gl2 = GroupSpec("LinearUnitary", n=2, q=5, eta=1, variant="general")
+    assert built == [spec, gl2]
+    groups._spec_facts.cache_clear()

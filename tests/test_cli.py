@@ -1,4 +1,5 @@
 import copy
+import importlib
 import io
 import json
 import subprocess
@@ -145,6 +146,21 @@ def test_sweep_empty_grid(capsys):
     # the only cell fails validation, so the table is empty but exit is clean
     assert code == EXIT_OK
     assert "skipped cells: 1" in out
+
+
+def test_verify_validates_each_instance_once(monkeypatch, capsys):
+    # 23 validate calls for the 23 default instances; 46 when classify validated each again
+    calls = []
+    real = cli.validate
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(cli, "validate", counted)
+    monkeypatch.setattr(importlib.import_module("pihall.classify"), "validate", counted)
+    code, _, _ = run_cli(["verify"], capsys)
+    assert code == EXIT_OK and len(calls) == len(cli.DEFAULT_VERIFY_INSTANCES) == 23
 
 
 def test_verify_single_instance(capsys):

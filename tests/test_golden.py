@@ -95,6 +95,17 @@ def test_default_sweep_reports_hash():
     assert _hash(default_sweep_reports()) == DEFAULT_SWEEP_REPORTS_SHA256
 
 
+def test_reports_hash_is_the_same_cold_and_warm():
+    """The spec facts change no answer: the default sweep hashes alike when each
+    facts object is built afresh and when each is read again."""
+    groups = importlib.import_module("pihall.groups")
+    groups._spec_facts.cache_clear()
+    specs, pis = default_grid_specs(), [parse_pi(t) for t in DEFAULT_PI_LIST]
+    cold, _ = run_sweep(specs, pis)
+    warm, _ = run_sweep(specs, pis)
+    assert _hash(cold) == _hash(warm) == DEFAULT_SWEEP_REPORTS_SHA256
+
+
 def pinned_variant_names():
     """Variants the default grid leaves out: SL/SU, GL/GU, Sp and O at the
     isometry level, and PO+(8,q), over the odd prime powers up to 49, 61 and 173."""

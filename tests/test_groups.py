@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pihall.arith import PrimeSet, pi_part
+from pihall.arith import PrimeSet, factorize, pi_part
 from pihall.classify import _query
 from pihall.groups import (
     E6,
@@ -164,10 +164,14 @@ _PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 61, 73, 97)
 
 
+# every prime power up to 10^4
+_PRIME_POWERS_10K = tuple(q for q in range(2, 10**4 + 1) if len(factorize(q).factors) == 1)
+
+
 @st.composite
-def lie_specs(draw):
+def lie_specs(draw, prime_powers=_PRIME_POWERS):
     family = draw(st.sampled_from(sorted(LIE_FAMILIES)))
-    q = draw(st.sampled_from(_PRIME_POWERS))
+    q = draw(st.sampled_from(prime_powers))
     n = draw(st.integers(min_value=2, max_value=12))
     eta = draw(st.sampled_from((1, -1)))
     variant = draw(st.sampled_from((SIMPLE, ISOMETRY, GENERAL)))
@@ -198,3 +202,17 @@ def test_order_value_matches_its_factorization(spec, pi):
     assert pi_part(g, spectrum) == g
     # the classifier's divisibility test agrees with the factored spectrum
     assert _query(spec, PrimeSet(pi)).gpi == frozenset(pi) & prime_spectrum(spec)
+
+
+@given(spec=lie_specs(_PRIME_POWERS_10K),
+       pis=st.lists(st.sets(st.sampled_from((2, 3, 5, 7, 11, 13, 17)), min_size=1),
+                    min_size=2, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_query_reads_the_spec_facts_under_every_pi(spec, pis):
+    """The r-parts a spec's facts keep from one prime set give the same pi ∩ pi(G)
+    and |G|_pi under the next; 11, 13 and 17 often divide no |G| drawn here."""
+    g = order(spec)
+    for pi in pis + pis[:1]:  # the first prime set is asked twice
+        query = _query(spec, PrimeSet(pi))
+        assert query.h == pi_part(g, pi)
+        assert query.gpi == frozenset(r for r in pi if g % r == 0)
