@@ -259,7 +259,7 @@ def check_sweep_invariants(reports: Sequence[HallReport]) -> List[str]:
         if sum(c.class_count for c in rep.classes) != rep.k_pi:
             found.append("class counts do not sum to k")
         if found:
-            # the row's name is formatted only for a row that has a violation
+            # named here, not per row: a sweep of thousands of rows rarely has a violation
             name = f"{format_group(rep.spec)} / {{{','.join(map(str, sorted(rep.pi)))}}}"
             violations += [f"{name}: {v}" for v in found]
     return violations
