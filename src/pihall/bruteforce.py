@@ -12,12 +12,15 @@ list is recovered as the union of conjugation orbits.  The search joins
 each subgroup H it has found with one candidate per double coset H*x*H,
 its least pi-element: every element of H*x*H gives the same join, which is
 a pi-subgroup only when H*x*H holds pi-elements alone, so each join is
-first reached by the candidate a search over left cosets tried first.  The
-cyclic-seeded fixpoint over the whole pi-subgroup lattice is kept as a
-separate mode for counterexample searches; it joins from one subgroup H
-per conjugacy class, with one cyclic seed per orbit under conjugation by
-H, since <H, x^h> = <H, x> for h in H, and takes the rest of each class
-by conjugation.  Both searches take conjugates under g.generators only,
+first reached by the candidate a search over left cosets tried first.
+Each element h*x*k of H*x*H is conjugate to x*k*h in x*H, so the left
+coset x*H alone tells whether H*x*H holds pi-elements alone, and a double
+coset that does not is neither walked nor joined.  The cyclic-seeded
+fixpoint over the whole pi-subgroup lattice is kept as a separate mode
+for counterexample searches; it joins from one subgroup H per conjugacy
+class, with one cyclic seed per orbit under conjugation by H, since
+<H, x^h> = <H, x> for h in H, and takes the rest of each class by
+conjugation.  Both searches take conjugates under g.generators only,
 so they assume those elements generate g.
 
 Products are made in batches.  Each group carries a batch kernel that
@@ -34,7 +37,14 @@ kernel, with an order table, an inverse table and one conjugation table
 holding the model's own element objects.  A model lives as long as some
 group made from it; each call returns a fresh ConcreteGroup sharing the
 model's elements and tables, so wrapping one group's mul reaches neither
-the model nor any other group.
+the model nor any other group.  The census's seed for each prime r, a
+Sylow r-subgroup with its generator witness, is kept with the model the
+same way, found on first use through the model's own mul and kernel.
+
+A generator witness of a p-group P comes from P/Phi(P): by Burnside's
+basis theorem a tuple generates P exactly when its image spans that
+F_p-space, so the witness search tests each tuple by a span instead of
+a closure, and Phi(P) is closed once.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ import math
 import weakref
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import chain, filterfalse, repeat, takewhile
+from itertools import chain, filterfalse, product, repeat, takewhile
 from typing import (
     Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
     Union,
@@ -87,8 +97,8 @@ class Budget:
     """Limits on building a group and on one search in it.
 
     max_closure_steps counts the joins a search tries from each subgroup H
-    it extends: one per double coset H*x*H holding a pi-element in the Hall
-    census, and one per orbit of the cyclic seeds outside H under
+    it extends: one per double coset H*x*H made of pi-elements alone in the
+    Hall census, and one per orbit of the cyclic seeds outside H under
     conjugation by H in the pi-subgroup lattice.  A census that runs out
     reports exhaustive=False; a lattice returns what it found and False.
     """
@@ -108,7 +118,9 @@ class ConcreteGroup:
     The order, inverse and conjugation tables fill together on first use,
     through the group's own mul and kernel.  A group from build_group gets
     them filled, shared with its model (held in _model, so that the model
-    lives as long as the group).
+    lives as long as the group).  The census's Sylow seeds are kept the same
+    way: on the model, found through its mul and kernel, or on a group built
+    by hand, through its own.
     """
 
     name: str
@@ -124,6 +136,9 @@ class ConcreteGroup:
     _orders: Dict[Element, int] = field(default_factory=dict, repr=False)
     _inverses: Dict[Element, Element] = field(default_factory=dict, repr=False)
     _conjugations: List[Dict[Element, Element]] = field(default_factory=list, repr=False)
+    # {r: (a Sylow r-subgroup, its generator witness)}, filled by _sylow_seed
+    _seeds: Dict[int, Tuple[FrozenSet[Element], Tuple[Element, ...]]] = field(
+        default_factory=dict, repr=False)
     _model: Optional[ConcreteGroup] = field(default=None, repr=False)
 
     @property
@@ -575,31 +590,145 @@ def sylow_subgroup(g: ConcreteGroup, r: int) -> FrozenSet[Element]:
     return current
 
 
+def _sylow_seed(g: ConcreteGroup, r: int) -> Tuple[FrozenSet[Element], Tuple[Element, ...]]:
+    """A Sylow r-subgroup of g and its generator witness, found once per model.
+
+    They are kept with the model, or with g itself when g was built by
+    hand, and found through the model's own mul and kernel, as its tables
+    are, so a caller's wrapper on g.mul never sees this work.
+    """
+    owner = g if g._model is None else g._model
+    seed = owner._seeds.get(r)
+    if seed is None:
+        sylow = sylow_subgroup(owner, r)
+        seed = owner._seeds[r] = (sylow, _generator_witness(owner, sylow))
+    return seed
+
+
 def _generator_witness(
     g: ConcreteGroup, subgroup: FrozenSet[Element]
 ) -> Tuple[Element, ...]:
-    """A small generating tuple (at most 3 elements) for a known subgroup."""
+    """A small generating tuple (at most 3 elements) for a known subgroup.
+
+    The elements are ranked by descending order.  The witness is the first
+    element if it generates; else the first pair (a, b) with a among the
+    40 first; else the first triple (a, b, c) with a and b among the 20
+    first; else the whole subgroup.  A p-group has each tuple tested by a
+    span over F_p (see _frattini_tests), any other subgroup by a closure.
+    """
     if len(subgroup) == 1:
         return ()
     members = sorted(subgroup)
     by_order = sorted(members, key=lambda x: -g.element_order(x))
     head = by_order[0]
-    if g.element_order(head) == len(subgroup):
+    n = g.element_order(head)
+    if n == len(subgroup):
         return (head,)
-    limit = len(subgroup)
-    # <a> is closed once and extended by each b; a closure that leaves the
-    # subgroup is dropped there
-    for a in by_order[:40]:
-        cyclic = frozenset(_extend(g.mul, g.products, (g.identity,), (), (a,), limit))
-        for b in by_order:
-            if subgroup_closure(g, [b], limit, cyclic, (a,), subgroup) == subgroup:
-                return (a, b)
-    for a in by_order[:20]:
-        for b in by_order[:20]:
+    p = next(r for r in range(2, n + 1) if n % r == 0)
+    if pi_part(len(subgroup), (p,)) == len(subgroup):
+        tests = _frattini_tests(g, by_order, p)
+    else:
+        tests = _closure_tests(g, subgroup)
+    for prefix in chain(zip(by_order[:40]), product(by_order[:20], repeat=2)):
+        generates = tests(prefix)
+        if generates is not None:
             for c in by_order:
-                if subgroup_closure(g, [a, b, c], limit, admissible=subgroup) == subgroup:
-                    return (a, b, c)
+                if generates(c):
+                    return prefix + (c,)
     return tuple(members)  # give up: the full set generates itself
+
+
+# tests(prefix) is None when no tuple prefix + (c,) generates the subgroup,
+# or else the test of c
+WitnessTests = Callable[[Tuple[Element, ...]], Optional[Callable[[Element], bool]]]
+
+
+def _closure_tests(g: ConcreteGroup, subgroup: FrozenSet[Element]) -> WitnessTests:
+    """Generation tests by closure, for a subgroup of any order.
+
+    <a> is closed once and extended by each b, and a triple is closed
+    whole; a closure that leaves the subgroup is dropped there.
+    """
+    limit = len(subgroup)
+
+    def tests(prefix):
+        if len(prefix) == 1:
+            cyclic = frozenset(_extend(g.mul, g.products, (g.identity,), (), prefix, limit))
+            return lambda b: subgroup_closure(g, [b], limit, cyclic, prefix, subgroup) == subgroup
+        return lambda c: subgroup_closure(g, prefix + (c,), limit, admissible=subgroup) == subgroup
+
+    return tests
+
+
+def _frattini_tests(g: ConcreteGroup, members: Sequence[Element], p: int) -> WitnessTests:
+    """Generation tests for the p-group P = members, by Burnside's basis theorem.
+
+    A tuple generates P exactly when its image spans P/Phi(P) = F_p^d
+    (Huppert, Endliche Gruppen I, 1967, III.3.2).  A cyclic P is answered
+    before any tuple is tried, so d >= 2: then prefix + (c,) spans F_p^d
+    exactly when the prefix spans a subspace of dimension d - 1 that c's
+    image lies outside.  A prefix never spans F_p^d by itself: the pair
+    loop would have returned any such pair first.
+    """
+    coords = _frattini_coordinates(g, members, p)
+    zero = coords[g.identity]
+    hyperplane = p ** (len(zero) - 1)
+
+    def tests(prefix):
+        span = {zero}
+        for v in map(coords.__getitem__, prefix):
+            if v not in span:
+                span = {tuple((x + k * y) % p for x, y in zip(w, v))
+                        for w in span for k in range(p)}
+        if len(span) != hyperplane:
+            return None
+        return lambda c: coords[c] not in span
+
+    return tests
+
+
+def _frattini_coordinates(
+    g: ConcreteGroup, members: Sequence[Element], p: int
+) -> Dict[Element, Tuple[int, ...]]:
+    """The image of each element of the p-group P = members in P/Phi(P) = F_p^d.
+
+    Phi(P) = P^p [P, P] is closed once, from the p-th powers of P's
+    elements and the commutators [a, s] for a in P and s in a generating
+    set S, taken greedily along members.  That set's closure is normal,
+    since [a, s]^t = [a*t, s] [t, s]^-1, and it holds [P, P], since each s
+    is central modulo it.  Then each element x outside the part M built so
+    far is the next basis vector: M grows to the union of the cosets x^i*M
+    for i < p, and x^i*m gets m's coordinates followed by i.
+    """
+    mul, products, inverse = g.mul, g.products, g.inverse
+    limit = len(members)
+    gens: List[Element] = []
+    span = {g.identity}
+    for x in members:
+        if x not in span:
+            span = _extend(mul, products, span, gens, (x,), limit)
+            gens.append(x)
+
+    def power(x: Element) -> Element:
+        y = x
+        for _ in range(p - 1):
+            y = mul(x, y)
+        return y
+
+    commutators = (mul(inverse(a), mul(inverse(s), mul(a, s))) for s in gens for a in members)
+    frattini = subgroup_closure(g, chain(map(power, members), commutators), limit)
+    coords: Dict[Element, Tuple[int, ...]] = dict.fromkeys(frattini, ())
+    for x in members:
+        if x in coords:
+            continue
+        known = list(coords.items())
+        layer = [y for y, _ in known]
+        for i in range(p):
+            if i:
+                layer = list(products(x, layer))
+            for y, (_, c) in zip(layer, known):
+                coords[y] = c + (i,)
+    return coords
 
 
 def _conjugacy_orbit(
@@ -656,17 +785,23 @@ def find_hall_subgroups(
     Search: fix a Sylow subgroup S for the least prime in pi (every Hall
     subgroup contains a conjugate of it), extend it by pi-elements keeping
     pi-number orders dividing the Hall order, then close the hits under
-    conjugation.  The current subgroup H is joined with one candidate per
-    double coset H*x*H that holds a pi-element, since <H, a*x*b> = <H, x>
-    for a, b in H.  The pi-elements are scanned in ascending order (g's
-    elements are sorted), so the candidate x is the least pi-element of its
-    double coset, and the double coset is marked seen one left coset y*H at
-    a time, each made by one kernel call; the next left cosets are the
-    s*y*H for the generators s of H.  The outputs are those of one
-    candidate per left coset: a join holding an element outside the pi-
-    elements is never a pi-subgroup, so only a double coset made of pi-
-    elements yields one, and there x is the least element of the double
-    coset, the first candidate of the left-coset search to reach that join.
+    conjugation.  S and its generator witness are read from g's model,
+    which finds them on first use (see _sylow_seed).  The current subgroup
+    H is joined with one candidate per double coset H*x*H made of pi-
+    elements alone, since <H, a*x*b> = <H, x> for a, b in H.  The pi-
+    elements are scanned in ascending order (g's elements are sorted); the
+    first one x not yet seen has its left coset x*H made by one kernel call
+    and marked seen.  If x*H holds an element outside the pi-elements, so
+    do H*x*H and <H, x>, and x is dropped.  Else H*x*H holds pi-elements
+    alone, since each h*x*k in it is conjugate to x*k*h in x*H: it is
+    marked seen one left coset y*H at a time, the next left cosets being
+    the s*y*H for the generators s of H, and joined once.  The outputs are
+    those of one candidate per left coset.  A join holding an element
+    outside the pi-elements is never a pi-subgroup, so only a double coset
+    made of pi-elements yields one.  No other candidate's left coset or
+    walk touches such a double coset, so its least element x is the first
+    of it that the scan reaches, the first candidate of the left-coset
+    search to reach that join.
     """
     pi = tuple(sorted(set(pi)))
     hall_order = pi_part(g.order, pi)
@@ -675,16 +810,14 @@ def find_hall_subgroups(
         return CensusReport(g, pi, 1, [trivial], [[trivial]], True)
 
     relevant = [r for r in pi if g.order % r == 0]
-    seed = sylow_subgroup(g, relevant[0])
+    seed, seed_witness = _sylow_seed(g, relevant[0])
     pi_elems = _orders_dividing(g, hall_order)
     admissible = frozenset(pi_elems)
     pi_elems.remove(g.identity)
     products = g.products
 
     # all pi-subgroups containing the fixed Sylow subgroup
-    found: Dict[FrozenSet[Element], Tuple[Element, ...]] = {
-        seed: _generator_witness(g, seed)
-    }
+    found: Dict[FrozenSet[Element], Tuple[Element, ...]] = {seed: seed_witness}
     frontier = [seed]
     steps = 0
     exhaustive = True
@@ -696,17 +829,24 @@ def find_hall_subgroups(
             gens = found[current]
             seen = set(current)
             for x in filterfalse(seen.__contains__, pi_elems):
-                # x is the least pi-element of current*x*current; mark the
-                # double coset seen one left coset y*current at a time, the
-                # next layer of representatives y being every s*y for the
+                # x is the least pi-element of x*current; that left coset
+                # holds an element outside the pi-elements exactly when the
+                # double coset does, and then so does the join
+                coset = list(products(x, current))
+                seen.update(coset)
+                if not admissible.issuperset(coset):
+                    continue
+                # x is the least element of current*x*current: mark the rest
+                # of it seen one left coset y*current at a time, the next
+                # layer of representatives y being every s*y for the
                 # generators s of current
-                layer = [x]
-                while layer:
+                reps = [x]
+                while reps:
+                    layer = [z for s in gens for z in products(s, reps)]
                     reps = []
                     for y in filterfalse(seen.__contains__, layer):
                         seen.update(products(y, current))
                         reps.append(y)
-                    layer = [z for s in gens for z in products(s, reps)]
                 steps += 1
                 if steps > budget.max_closure_steps:
                     exhaustive = False
@@ -732,16 +872,21 @@ def find_hall_subgroups(
 def _minimal_witness(
     g: ConcreteGroup, gens: Tuple[Element, ...], subgroup: FrozenSet[Element]
 ) -> Tuple[Element, ...]:
-    """Shrink a known generating tuple, falling back to a fresh search."""
+    """Shrink gens, which must generate subgroup, falling back to a fresh search.
+
+    The first element whose removal leaves a generating tuple is dropped,
+    until none can be; a tuple of more than 3 is replaced by a search.
+    """
     gens = tuple(x for x in gens if x != g.identity)
-    if gens and subgroup_closure(g, gens, len(subgroup) + 1) == subgroup:
+    shrunk = True
+    while shrunk:
+        shrunk = False
         for drop in range(len(gens)):
             trimmed = gens[:drop] + gens[drop + 1:]
             if trimmed and subgroup_closure(g, trimmed, len(subgroup) + 1) == subgroup:
-                return _minimal_witness(g, trimmed, subgroup)
-        if len(gens) <= 3:
-            return gens
-    return _generator_witness(g, subgroup)
+                gens, shrunk = trimmed, True
+                break
+    return gens if len(gens) <= 3 else _generator_witness(g, subgroup)
 
 
 def pi_subgroup_lattice(

@@ -918,7 +918,7 @@ def _defining_char(query: _Query) -> HallReport:
                 return _report(query, TAG_DEFINING, [desc], OUT_OF_SCOPE)
 
     # Borel pattern: pi ∩ pi(S) inside pi(q-1) ∪ {p}
-    if gpi <= frozenset(prime_divisors(q - 1)) | {p}:
+    if all(r == p or (q - 1) % r == 0 for r in gpi):
         bpi = _borel_pi_part(spec, pi)
         if bpi is not None and bpi == h:
             desc = HallClassDescriptor(

@@ -22,13 +22,50 @@ def is_conjugate_into():
     return _is_conjugate_into
 
 
+def _reference_generator_witness(g, subgroup):
+    """The generator witness search by closure alone, for subgroups of any order.
+
+    The elements are ranked by descending order; the witness is the first
+    element if it generates, else the first generating pair (a, b) with a
+    among the 40 first, else the first generating triple with a and b among
+    the 20 first, else the whole subgroup.
+    """
+    if len(subgroup) == 1:
+        return ()
+    members = sorted(subgroup)
+    by_order = sorted(members, key=lambda x: -g.element_order(x))
+    head = by_order[0]
+    if g.element_order(head) == len(subgroup):
+        return (head,)
+    limit = len(subgroup)
+    for a in by_order[:40]:
+        cyclic = frozenset(bruteforce._extend(g.mul, g.products, (g.identity,), (), (a,), limit))
+        for b in by_order:
+            if bruteforce.subgroup_closure(g, [b], limit, cyclic, (a,), subgroup) == subgroup:
+                return (a, b)
+    for a in by_order[:20]:
+        for b in by_order[:20]:
+            for c in by_order:
+                if bruteforce.subgroup_closure(g, [a, b, c], limit,
+                                               admissible=subgroup) == subgroup:
+                    return (a, b, c)
+    return tuple(members)
+
+
+@pytest.fixture
+def reference_generator_witness():
+    """The closure search, the reference for the witnesses of p-groups from P/Phi(P)."""
+    return _reference_generator_witness
+
+
 def _reference_census(g, pi, budget=bruteforce.DEFAULT_BUDGET):
     """The census with one extension candidate per left coset x*H of the current subgroup H.
 
     Each left coset's least element is a candidate, so more candidates
-    reach the same join than with one per double coset H*x*H.  Closures go
-    through bruteforce.subgroup_closure, so a test that wraps it counts
-    this search's closures too.
+    reach the same join than with one per double coset H*x*H.  The Sylow
+    seed is grown again and its witness found by closures on every call.
+    Closures go through bruteforce.subgroup_closure, so a test that wraps
+    it counts this search's closures too.
     """
     pi = tuple(sorted(set(pi)))
     hall_order = pi_part(g.order, pi)
@@ -40,7 +77,7 @@ def _reference_census(g, pi, budget=bruteforce.DEFAULT_BUDGET):
     pi_elems = bruteforce._orders_dividing(g, hall_order)
     admissible = frozenset(pi_elems)
     pi_elems.remove(g.identity)
-    found = {seed: bruteforce._generator_witness(g, seed)}
+    found = {seed: _reference_generator_witness(g, seed)}
     frontier = [seed]
     steps = 0
     exhaustive = True

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pihall.bruteforce as bruteforce
-from pihall.arith import PrimeSet, is_pi_number, pi_part
+from pihall.arith import PrimeSet, factorize, is_pi_number, pi_part
 from pihall.bruteforce import (
     Budget,
     BudgetExceeded,
@@ -526,6 +526,91 @@ def test_double_coset_census_matches_left_coset_reference(kind, param, pi, monke
     assert census.halls_found == reference.halls_found
     assert census.classes == reference.classes
     assert counts[0] <= counts[1]
+
+
+def _elementary_abelian_16():
+    """<(0 1), (2 3), (4 5), (6 7)>, built by hand: its Frattini quotient has rank 4."""
+    identity = bytes(range(8))
+    gens = [bytes(k ^ 1 if k // 2 == i else k for k in range(8)) for i in range(4)]
+    elements = _closure(gens, _perm_mul, identity, 100, _perm_mul_all)
+    return ConcreteGroup("C2^4", "PERM", elements, _perm_mul, identity, gens,
+                         mul_all=_perm_mul_all)
+
+
+def test_frattini_witness_matches_closure_search(reference_generator_witness):
+    # every Sylow subgroup of the reference census groups, every p-subgroup
+    # of SL2(5) and Sym(5), and a p-group whose witness is all of it
+    cases = []
+    for kind, param in dict.fromkeys((kind, param) for kind, param, _ in REFERENCE_CENSUSES):
+        g = psl3_3_points() if kind == "PSL3" else build_group(kind, param)
+        cases += [(g, sylow_subgroup(g, r)) for r, _ in factorize(g.order).factors]
+    for kind, param in [("SL2", 5), ("SYM", 5)]:
+        g = build_group(kind, param)
+        for r in (2, 3, 5):
+            cases += [(g, sub) for sub in pi_subgroup_lattice(g, (r,))[0]]
+    g = _elementary_abelian_16()
+    cases.append((g, frozenset(g.elements)))
+    sizes = set()
+    for g, sub in cases:
+        witness = bruteforce._generator_witness(g, sub)
+        assert witness == reference_generator_witness(g, sub)
+        sizes.add(len(witness))
+    # trivial, cyclic, two and three generators, and the whole subgroup
+    assert sizes == {0, 1, 2, 3, 16}
+
+
+def test_second_census_reads_the_seed_from_the_model(monkeypatch):
+    calls = []
+    grow = bruteforce.sylow_subgroup
+    monkeypatch.setattr(bruteforce, "sylow_subgroup", lambda g, r: calls.append(r) or grow(g, r))
+    gc.collect()
+    assert ("PSL2", 23) not in bruteforce._MODELS
+    results = []
+    for _ in range(2):  # the second time round, on a model built again
+        calls.clear()
+        g = build_group("PSL2", 23)
+        model = weakref.ref(g._model)
+        censuses = [find_hall_subgroups(g, (2, 3)), find_hall_subgroups(g, (2, 3)),
+                    find_hall_subgroups(build_group("PSL2", 23), (2, 3))]
+        assert calls == [2]
+        results += [(c.to_dict(), c.classes, c.halls_found) for c in censuses]
+        del g, censuses
+        gc.collect()
+        assert model() is None
+    assert all(r == results[0] for r in results) and results[0][0]["class_count"] == 3
+    # a group built by hand keeps its seeds on itself
+    calls.clear()
+    g = _elementary_abelian_16()
+    assert [find_hall_subgroups(g, (2,)).class_count for _ in range(2)] == [1, 1]
+    assert calls == [2] and g._seeds[2][0] == frozenset(g.elements)
+
+
+@pytest.mark.parametrize("kind,param", [("PSL2", 23), ("ALT", 7)])
+def test_seed_work_is_done_through_the_model(kind, param):
+    gc.collect()
+    assert (kind, param) not in bruteforce._MODELS
+    g = build_group(kind, param)
+    count = 0
+    mul, mul_all = g.mul, g.mul_all
+
+    def counting_mul(a, b):
+        nonlocal count
+        count += 1
+        return mul(a, b)
+
+    def counting_mul_all(a, block):
+        nonlocal count
+        for y in mul_all(a, block):
+            count += 1
+            yield y
+
+    g.mul = counting_mul
+    if mul_all is not None:
+        g.mul_all = counting_mul_all
+    seed = bruteforce._sylow_seed(g, 2)
+    assert count == 0 and g._model._seeds == {2: seed}
+    assert seed[0] == sylow_subgroup(build_group(kind, param), 2)
+    assert subgroup_closure(g, seed[1], len(seed[0]) + 1) == seed[0]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
