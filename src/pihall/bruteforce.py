@@ -693,30 +693,28 @@ def _frattini_coordinates(
     """The image of each element of the p-group P = members in P/Phi(P) = F_p^d.
 
     Phi(P) = P^p [P, P] is closed once, from the p-th powers of P's
-    elements and the commutators [a, s] for a in P and s in a generating
-    set S, taken greedily along members.  That set's closure is normal,
-    since [a, s]^t = [a*t, s] [t, s]^-1, and it holds [P, P], since each s
-    is central modulo it.  Then each element x outside the part M built so
-    far is the next basis vector: M grows to the union of the cosets x^i*M
-    for i < p, and x^i*m gets m's coordinates followed by i.
+    elements and, for odd p, the commutators [a, s] for a in P and s in a
+    generating set S, taken greedily along members.  That set's closure is
+    normal, since [a, s]^t = [a*t, s] [t, s]^-1, and it holds [P, P], since
+    each s is central modulo it.  For p = 2 the squares suffice, since
+    [a, b] = a^-2 (a*b^-1)^2 b^2.  Then each element x outside the part M
+    built so far is the next basis vector: M grows to the union of the
+    cosets x^i*M for i < p, and x^i*m gets m's coordinates followed by i.
     """
     mul, products, inverse = g.mul, g.products, g.inverse
     limit = len(members)
-    gens: List[Element] = []
-    span = {g.identity}
-    for x in members:
-        if x not in span:
-            span = _extend(mul, products, span, gens, (x,), limit)
-            gens.append(x)
-
-    def power(x: Element) -> Element:
-        y = x
-        for _ in range(p - 1):
-            y = mul(x, y)
-        return y
-
-    commutators = (mul(inverse(a), mul(inverse(s), mul(a, s))) for s in gens for a in members)
-    frattini = subgroup_closure(g, chain(map(power, members), commutators), limit)
+    phi_gens = list(members)
+    for _ in range(p - 1):
+        phi_gens = list(map(mul, members, phi_gens))
+    if p != 2:
+        gens: List[Element] = []
+        span = {g.identity}
+        for x in members:
+            if x not in span:
+                span = _extend(mul, products, span, gens, (x,), limit)
+                gens.append(x)
+        phi_gens += (mul(inverse(a), mul(inverse(s), mul(a, s))) for s in gens for a in members)
+    frattini = subgroup_closure(g, phi_gens, limit)
     coords: Dict[Element, Tuple[int, ...]] = dict.fromkeys(frattini, ())
     for x in members:
         if x in coords:
