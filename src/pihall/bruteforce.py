@@ -638,16 +638,15 @@ def _generator_witness(
     return tuple(members)  # give up: the full set generates itself
 
 
-# tests(prefix) is None when no tuple prefix + (c,) generates the subgroup,
-# or else the test of c
-WitnessTests = Callable[[Tuple[Element, ...]], Optional[Callable[[Element], bool]]]
-
-
-def _closure_tests(g: ConcreteGroup, subgroup: FrozenSet[Element]) -> WitnessTests:
+def _closure_tests(
+    g: ConcreteGroup, subgroup: FrozenSet[Element]
+) -> Callable[[Tuple[Element, ...]], Optional[Callable[[Element], bool]]]:
     """Generation tests by closure, for a subgroup of any order.
 
-    <a> is closed once and extended by each b, and a triple is closed
-    whole; a closure that leaves the subgroup is dropped there.
+    tests(prefix) is None when no tuple prefix + (c,) generates the
+    subgroup, or else the test of c.  <a> is closed once and extended by
+    each b, and a triple is closed whole; a closure that leaves the
+    subgroup is dropped there.
     """
     limit = len(subgroup)
 
@@ -660,8 +659,10 @@ def _closure_tests(g: ConcreteGroup, subgroup: FrozenSet[Element]) -> WitnessTes
     return tests
 
 
-def _frattini_tests(g: ConcreteGroup, members: Sequence[Element], p: int) -> WitnessTests:
-    """Generation tests for the p-group P = members, by Burnside's basis theorem.
+def _frattini_tests(
+    g: ConcreteGroup, members: Sequence[Element], p: int
+) -> Callable[[Tuple[Element, ...]], Optional[Callable[[Element], bool]]]:
+    """Generation tests, as _closure_tests gives, for the p-group P = members.
 
     A tuple generates P exactly when its image spans P/Phi(P) = F_p^d
     (Huppert, Endliche Gruppen I, 1967, III.3.2).  A cyclic P is answered
