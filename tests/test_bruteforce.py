@@ -340,6 +340,26 @@ def test_closure_matches_bfs(case):
         assert got == full
 
 
+def _count_products(g):
+    """Wrap g's mul and batch kernel, if any, to count every product; returns the count."""
+    count = [0]
+    mul, mul_all = g.mul, g.mul_all
+
+    def counting_mul(a, b):
+        count[0] += 1
+        return mul(a, b)
+
+    def counting_mul_all(a, block):
+        for y in mul_all(a, block):
+            count[0] += 1
+            yield y
+
+    g.mul = counting_mul
+    if mul_all is not None:
+        g.mul_all = counting_mul_all
+    return count
+
+
 def test_census_stops_closures_at_inadmissible_elements():
     # Sym(7) with pi = {2,3,5}: most closures the extension search tries
     # outgrow the Hall order 720 and hold a 7-cycle; stopping at the first
@@ -347,24 +367,10 @@ def test_census_stops_closures_at_inadmissible_elements():
     # under a third (about 121,000 against 534,000).  Most products come
     # from the batch kernel, so its products count as well as mul's.
     g = build_group("SYM", 7)
-    count = 0
-    mul, mul_all = g.mul, g.mul_all
-
-    def counting_mul(a, b):
-        nonlocal count
-        count += 1
-        return mul(a, b)
-
-    def counting_mul_all(a, block):
-        nonlocal count
-        for y in mul_all(a, block):
-            count += 1
-            yield y
-
-    g.mul, g.mul_all = counting_mul, counting_mul_all
+    count = _count_products(g)
     census = find_hall_subgroups(g, (2, 3, 5))
     assert census.class_count == 1 and len(census.halls_found) == 7
-    assert count < 300_000
+    assert count[0] < 300_000
 
 
 @st.composite
@@ -590,25 +596,9 @@ def test_seed_work_is_done_through_the_model(kind, param):
     gc.collect()
     assert (kind, param) not in bruteforce._MODELS
     g = build_group(kind, param)
-    count = 0
-    mul, mul_all = g.mul, g.mul_all
-
-    def counting_mul(a, b):
-        nonlocal count
-        count += 1
-        return mul(a, b)
-
-    def counting_mul_all(a, block):
-        nonlocal count
-        for y in mul_all(a, block):
-            count += 1
-            yield y
-
-    g.mul = counting_mul
-    if mul_all is not None:
-        g.mul_all = counting_mul_all
+    count = _count_products(g)
     seed = bruteforce._sylow_seed(g, 2)
-    assert count == 0 and g._model._seeds == {2: seed}
+    assert count == [0] and g._model._seeds == {2: seed}
     assert seed[0] == sylow_subgroup(build_group(kind, param), 2)
     assert subgroup_closure(g, seed[1], len(seed[0]) + 1) == seed[0]
 
