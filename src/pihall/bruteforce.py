@@ -15,13 +15,15 @@ a pi-subgroup only when H*x*H holds pi-elements alone, so each join is
 first reached by the candidate a search over left cosets tried first.
 Each element h*x*k of H*x*H is conjugate to x*k*h in x*H, so the left
 coset x*H alone tells whether H*x*H holds pi-elements alone, and a double
-coset that does not is neither walked nor joined.  The cyclic-seeded
-fixpoint over the whole pi-subgroup lattice is kept as a separate mode
-for counterexample searches; it joins from one subgroup H per conjugacy
-class, with one cyclic seed per orbit under conjugation by H, since
-<H, x^h> = <H, x> for h in H, and takes the rest of each class by
-conjugation.  Both searches take conjugates under g.generators only,
-so they assume those elements generate g.
+coset that does not is neither walked nor joined.  The fixpoint over the
+whole pi-subgroup lattice is kept as a separate mode for counterexample
+searches.  It is seeded with the zuppos, the cyclic subgroups of
+prime-power order, since every subgroup is generated by its elements of
+prime-power order (Neubüser's cyclic extension method).  It joins from
+one subgroup H per conjugacy class, with one zuppo per orbit under
+conjugation by H, since <H, x^h> = <H, x> for h in H, and takes the rest
+of each class by conjugation.  Both searches take conjugates under
+g.generators only, so they assume those elements generate g.
 
 Products are made in batches.  Each group carries a batch kernel that
 makes a*x for every x in a block from the one left factor a: for
@@ -39,7 +41,8 @@ group made from it; each call returns a fresh ConcreteGroup sharing the
 model's elements and tables, so wrapping one group's mul reaches neither
 the model nor any other group.  The census's seed for each prime r, a
 Sylow r-subgroup with its generator witness, is kept with the model the
-same way, found on first use through the model's own mul and kernel.
+same way, found on first use through the model's own mul and kernel, and
+so are the lattice's zuppos, for every prime at once.
 
 A generator witness of a p-group P comes from P/Phi(P): by Burnside's
 basis theorem a tuple generates P exactly when its image spans that
@@ -53,7 +56,7 @@ import math
 import weakref
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import chain, filterfalse, product, repeat, takewhile
+from itertools import chain, filterfalse, islice, product, repeat, takewhile
 from typing import (
     Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
     Union,
@@ -98,8 +101,9 @@ class Budget:
 
     max_closure_steps counts the joins a search tries from each subgroup H
     it extends: one per double coset H*x*H made of pi-elements alone in the
-    Hall census, and one per orbit of the cyclic seeds outside H under
-    conjugation by H in the pi-subgroup lattice.  A census that runs out
+    Hall census, and one per orbit of the seeds outside H under conjugation
+    by H in the pi-subgroup lattice, whose seeds are the zuppos, the cyclic
+    pi-subgroups of prime-power order.  A census that runs out
     reports exhaustive=False; a lattice returns what it found and False.
     """
 
@@ -118,9 +122,9 @@ class ConcreteGroup:
     The order, inverse and conjugation tables fill together on first use,
     through the group's own mul and kernel.  A group from build_group gets
     them filled, shared with its model (held in _model, so that the model
-    lives as long as the group).  The census's Sylow seeds are kept the same
-    way: on the model, found through its mul and kernel, or on a group built
-    by hand, through its own.
+    lives as long as the group).  The census's Sylow seeds and the lattice's
+    zuppos are kept the same way: on the model, found through its mul and
+    kernel, or on a group built by hand, through its own.
     """
 
     name: str
@@ -139,6 +143,10 @@ class ConcreteGroup:
     # {r: (a Sylow r-subgroup, its generator witness)}, filled by _sylow_seed
     _seeds: Dict[int, Tuple[FrozenSet[Element], Tuple[Element, ...]]] = field(
         default_factory=dict, repr=False)
+    # {zuppo: its least generator} and {each generator of a zuppo: the zuppo},
+    # filled by _zuppos
+    _zuppos: Dict[FrozenSet[Element], Element] = field(default_factory=dict, repr=False)
+    _zuppo_of: Dict[Element, FrozenSet[Element]] = field(default_factory=dict, repr=False)
     _model: Optional[ConcreteGroup] = field(default=None, repr=False)
 
     @property
@@ -605,6 +613,36 @@ def _sylow_seed(g: ConcreteGroup, r: int) -> Tuple[FrozenSet[Element], Tuple[Ele
     return seed
 
 
+def _zuppos(
+    g: ConcreteGroup,
+) -> Tuple[Dict[FrozenSet[Element], Element], Dict[Element, FrozenSet[Element]]]:
+    """The zuppos of g, its cyclic subgroups of prime-power order, found once per model.
+
+    Returns ({Z: x}, {y: Z}): each zuppo Z, the trivial one included, with
+    its least generator x, in the order of g.elements, and each generator y
+    of a zuppo with that zuppo.  Each Z is a power walk x, x^2, ... through
+    the kernel.  Like _sylow_seed, they are kept with the model, or with g
+    itself when g was built by hand, and found through the model's own mul
+    and kernel, so a caller's wrapper on g.mul never sees this work.
+    """
+    owner = g if g._model is None else g._model
+    zuppos, zuppo_of = owner._zuppos, owner._zuppo_of
+    if not zuppos:
+        orders = owner.order_table()
+        prime_power = {n: len(factorize(n).factors) <= 1 for n in set(orders.values())}
+        for x in owner.elements:
+            n = orders[x]
+            if x in zuppo_of or not prime_power[n]:
+                continue
+            powers = [x]
+            for y in islice(owner.products(x, powers), n - 1):  # x^2, ..., x^n = 1
+                powers.append(y)
+            zuppo = frozenset(powers)
+            zuppos[zuppo] = x
+            zuppo_of.update((y, zuppo) for y in powers if orders[y] == n)
+    return zuppos, zuppo_of
+
+
 def _generator_witness(
     g: ConcreteGroup, subgroup: FrozenSet[Element]
 ) -> Tuple[Element, ...]:
@@ -860,12 +898,33 @@ def find_hall_subgroups(
                     raise BudgetExceeded("stored subgroup budget exceeded")
         frontier = nxt
 
-    witnesses = {
-        s: _minimal_witness(g, gens, s) for s, gens in found.items() if len(s) == hall_order
-    }
-    classes = conjugacy_classes_of_subgroups(g, witnesses)
+    halls = {s: gens for s, gens in found.items() if len(s) == hall_order}
+    classes = conjugacy_classes_of_subgroups(g, _ShrunkWitnesses(g, halls))
     all_halls = [h for cls in classes for h in cls]
     return CensusReport(g, pi, hall_order, all_halls, classes, exhaustive)
+
+
+class _ShrunkWitnesses(Mapping[FrozenSet[Element], Tuple[Element, ...]]):
+    """{subgroup: its generators shrunk by _minimal_witness}, each shrunk on first read.
+
+    conjugacy_classes_of_subgroups reads only the witness of the subgroup
+    that starts each class's orbit, so no other subgroup's is shrunk.
+    """
+
+    def __init__(self, g: ConcreteGroup, gens: Dict[FrozenSet[Element], Tuple[Element, ...]]):
+        self._g, self._gens = g, gens
+        self._shrunk: Dict[FrozenSet[Element], Tuple[Element, ...]] = {}
+
+    def __getitem__(self, subgroup: FrozenSet[Element]) -> Tuple[Element, ...]:
+        if subgroup not in self._shrunk:
+            self._shrunk[subgroup] = _minimal_witness(self._g, self._gens[subgroup], subgroup)
+        return self._shrunk[subgroup]
+
+    def __iter__(self) -> Iterator[FrozenSet[Element]]:
+        return iter(self._gens)
+
+    def __len__(self) -> int:
+        return len(self._gens)
 
 
 def _minimal_witness(
@@ -893,37 +952,34 @@ def pi_subgroup_lattice(
     pi: Sequence[int],
     budget: Budget = DEFAULT_BUDGET,
 ) -> Tuple[List[FrozenSet[Element]], bool]:
-    """The cyclic-seeded fixpoint: all pi-subgroups of g.
+    """The zuppo-seeded fixpoint (Neubüser's cyclic extension): all pi-subgroups of g.
 
-    Returns (subgroups, exhaustive).  Joins start from one subgroup per
-    conjugacy class: each is joined with one cyclic seed <x> per orbit of
-    the seeds outside it under conjugation by it, and a new join adds its
-    whole conjugacy orbit but only itself to the frontier.  The orbit of a
-    seed under H is walked through the seeds' generators, x^h = h^-1*x*h
-    for the generators h of H.  Nothing is lost: the seeds are closed under
-    conjugation, <H^c, x> = <H, x^(c^-1)>^c, and <H, x^h> = <H, x>^h = <H, x>
-    for h in H, so the lattice is the set that joining every seed gives.
-    Each seed is closed once, from its first generator, and the trivial
-    subgroup joins nothing, since its joins are the seeds.
-    Budget.max_closure_steps counts the joins tried from the other
-    representatives, one per seed orbit.  This is the expensive search; the
-    Hall census above does not depend on it.
+    Returns (subgroups, exhaustive).  The seeds are the zuppos whose order
+    divides |G|_pi, the cyclic pi-subgroups of prime-power order, read from
+    g's model (see _zuppos).  They suffice: a subgroup K is generated by its
+    elements of prime-power order, so K = <z_1, ..., z_k> for zuppos z_i of
+    K, and the chain <z_1> < <z_1, z_2> < ... reaches K through subgroups
+    of K, each the join of the one before with one seed.  Joins start from
+    one subgroup per conjugacy class: each is joined with one seed <x> per
+    orbit of the seeds outside it under conjugation by it, and a new join
+    adds its whole conjugacy orbit but only itself to the frontier.  The
+    orbit of a seed under H is walked through the seeds' generators,
+    x^h = h^-1*x*h for the generators h of H.  Nothing is lost: the seeds
+    are closed under conjugation, <H^c, x> = <H, x^(c^-1)>^c, and
+    <H, x^h> = <H, x>^h = <H, x> for h in H, so the lattice is the set that
+    joining every seed gives.  The trivial subgroup joins nothing, since
+    its joins are the seeds.  Budget.max_closure_steps counts the joins
+    tried from the other representatives, one per seed orbit.  This is the
+    expensive search; the Hall census above does not depend on it.
     """
     pi = tuple(sorted(set(pi)))
     # every pi-subgroup has order dividing |G|_pi
     cap = pi_part(g.order, pi)
-    # each cyclic seed <x> with its first generator x; found maps to generators
-    seeds: Dict[FrozenSet[Element], Element] = {}
-    elems = _orders_dividing(g, cap)
-    admissible = frozenset(elems)
-    orders = g.order_table()
-    seed_of: Dict[Element, FrozenSet[Element]] = {}  # each built seed, by its generators
-    for x in elems:  # <x> has order dividing cap
-        if x in seed_of:
-            continue
-        seed = subgroup_closure(g, [x], cap)
-        seeds[seed] = x
-        seed_of.update((y, seed) for y in seed if orders[y] == len(seed))
+    admissible = frozenset(_orders_dividing(g, cap))
+    # each seed <x> with its least generator x, and each seed by its generators
+    zuppos, seed_of = _zuppos(g)
+    seeds = {z: x for z, x in zuppos.items() if cap % len(z) == 0}
+    # found maps each subgroup to its generators
     found: Dict[FrozenSet[Element], Tuple[Element, ...]] = {}
     frontier = []
     for sub, x in seeds.items():

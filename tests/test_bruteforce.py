@@ -660,10 +660,14 @@ def _reference_lattice(g, pi):
     return set(found)
 
 
+# the last four hold subgroups that only joins reach: the perfect Alt(5)
+# and SL2(5), and Alt(5) inside Sym(5), and PSL2(13)'s cyclic subgroups of
+# order 6
 @pytest.mark.parametrize("kind,param,pi", [
     ("SL2", 5, (2, 3)), ("SL2", 11, (2, 3)), ("SL2", 13, (2, 3)), ("PSL2", 7, (2, 3)),
     ("PSL2", 11, (2, 3, 5)), ("SYM", 4, (2, 3)), ("SYM", 5, (2, 3)), ("ALT", 6, (2, 3)),
     ("GL2", 5, (2, 3)), ("PGL2", 7, (2, 3)),
+    ("ALT", 5, (2, 3, 5)), ("SL2", 5, (2, 3, 5)), ("SYM", 5, (2, 3, 5)), ("PSL2", 13, (2, 3)),
 ])
 def test_lattice_from_class_representatives_matches_reference(kind, param, pi, monkeypatch,
                                                              is_conjugate_into):
@@ -700,3 +704,80 @@ def test_lattice_budget_never_passes_a_partial_set():
                   Budget(max_subgroups=10), Budget(max_subgroups=len(full) - 1)):
         assert pi_subgroup_lattice(g, (2, 3), tight)[1] is False
     assert outcomes[-1] is True and outcomes[len(range(0, 400, 5)) - 1] is True
+
+
+@pytest.mark.parametrize("kind,param,pi", [
+    ("SL2", 5, (2, 3)), ("SL2", 5, (2, 3, 5)), ("SL2", 5, (5,)), ("PSL2", 13, (2, 3)),
+    ("SYM", 5, (2, 3)), ("GL2", 5, (2, 3)), ("PGL2", 7, (3, 7)),
+])
+def test_lattice_seeds_are_the_zuppos(kind, param, pi, monkeypatch):
+    # the seeds: every cyclic subgroup of prime-power order dividing |G|_pi,
+    # the trivial one included, each closed from its least generator
+    g = build_group(kind, param)
+    cap = pi_part(g.order, pi)
+    cyclic = {}
+    for x in g.elements:
+        if len(factorize(g.element_order(x)).factors) <= 1:
+            cyclic.setdefault(subgroup_closure(g, [x], g.order), x)
+    zuppos, zuppo_of = bruteforce._zuppos(g)
+    assert zuppos == cyclic and list(zuppos) == list(cyclic)
+    assert zuppo_of == {y: z for z in cyclic for y in z if g.element_order(y) == len(z)}
+    # a seed's orbit is found from the seed alone, with its generator as the witness
+    orbits = []
+    orbit = bruteforce._conjugacy_orbit
+    monkeypatch.setattr(bruteforce, "_conjugacy_orbit",
+                        lambda g, sub, wit: orbits.append((sub, wit)) or orbit(g, sub, wit))
+    lattice = set(pi_subgroup_lattice(g, pi)[0])
+    seeds = [(sub, wit) for sub, wit in orbits if len(wit) == 1]
+    assert all(cyclic[sub] == wit[0] for sub, wit in seeds)
+    reached = set().union(*(orbit(g, sub, wit) for sub, wit in seeds))
+    assert reached == {z for z in cyclic if cap % len(z) == 0} and reached <= lattice
+    assert frozenset({g.identity}) in reached
+
+
+@pytest.mark.parametrize("kind,param,other_pi", [("PSL2", 17, (2, 17)), ("ALT", 7, (2, 5))])
+def test_lattice_reads_the_zuppos_from_the_model(kind, param, other_pi):
+    gc.collect()
+    assert (kind, param) not in bruteforce._MODELS
+    results = []
+    for _ in range(2):  # the second time round, on a model built again
+        g, h = build_group(kind, param), build_group(kind, param)
+        model = weakref.ref(g._model)
+        count, model_count = _count_products(g), _count_products(g._model)
+        zuppos = bruteforce._zuppos(g)
+        # the zuppos are found through the model, which keeps them
+        assert count == [0] and model_count[0] > 0
+        assert zuppos == (g._model._zuppos, g._model._zuppo_of) and zuppos[0]
+        # two lattices on groups of the same model, under other prime sets,
+        # make no zuppo work: the model makes no product
+        model_count[0] = 0
+        lattices = [set(pi_subgroup_lattice(g, (2, 3))[0]),
+                    set(pi_subgroup_lattice(h, other_pi)[0])]
+        assert model_count == [0] and bruteforce._zuppos(h) == zuppos
+        results.append(lattices)
+        del g, h, zuppos
+        gc.collect()
+        assert model() is None
+    assert results[0] == results[1]
+    # a group built by hand keeps its zuppos on itself
+    g = _elementary_abelian_16()
+    zuppos, _ = bruteforce._zuppos(g)
+    assert g._zuppos is zuppos and len(zuppos) == 1 + 15
+
+
+@pytest.mark.parametrize("kind,param,pi", [
+    ("PSL2", 13, (2, 3, 5)), ("SL2", 13, (2, 3, 5)), ("SL2", 13, (2, 3)), ("SYM", 5, (2, 3)),
+])
+def test_census_shrinks_one_witness_per_class(kind, param, pi, monkeypatch, reference_census):
+    g = build_group(kind, param)
+    reference = reference_census(g, pi)
+    shrunk = []
+    shrink = bruteforce._minimal_witness
+    monkeypatch.setattr(bruteforce, "_minimal_witness",
+                        lambda g, gens, sub: shrunk.append(sub) or shrink(g, gens, sub))
+    census = find_hall_subgroups(g, pi)
+    assert census.to_dict() == reference.to_dict() and census.classes == reference.classes
+    # one subgroup shrunk per class, the one that starts the class's orbit
+    classes = [next(i for i, cls in enumerate(census.classes)
+                    if any(h.elements == sub for h in cls)) for sub in shrunk]
+    assert sorted(classes) == list(range(census.class_count))
