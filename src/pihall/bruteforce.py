@@ -25,6 +25,11 @@ conjugation by H, since <H, x^h> = <H, x> for h in H, and takes the rest
 of each class by conjugation.  Both searches take conjugates under
 g.generators only, so they assume those elements generate g.
 
+Both searches run one breadth-first join loop, _join_search, fed by the
+census's double-coset walk or the lattice's seed-orbit walk; a new join
+is stored, or its whole conjugacy orbit is, and joins in the next round.
+Both stop with exhaustive=False when either budget runs out.
+
 Products are made in batches.  Each group carries a batch kernel that
 makes a*x for every x in a block from the one left factor a: for
 permutations, one bytes.translate table applied in a C loop.  So the
@@ -34,15 +39,17 @@ by x each time.
 
 Each group is built once per process.  build_group and psl3_3_points keep
 one model per (kind, param): the sorted elements, the generators and the
-kernel, with an order table, an inverse table and one conjugation table
-{x: x^s} per generator s, all filled when the model is built and all
-holding the model's own element objects.  A model lives as long as some
-group made from it; each call returns a fresh ConcreteGroup sharing the
-model's elements and tables, so wrapping one group's mul reaches neither
-the model nor any other group.  The census's seed for each prime r, a
-Sylow r-subgroup with its generator witness, is kept with the model the
-same way, found on first use through the model's own mul and kernel, and
-so are the lattice's zuppos, for every prime at once.
+kernel.  Each group has an owner, _owner: the model it was made from, or
+else the group itself.  The owner makes and keeps the group's facts on
+first use, through its own mul and kernel: an order table, an inverse
+table and one conjugation table {x: x^s} per generator s, all holding
+the model's own element objects and filled when the model is built; the
+census's seed for each prime r, a Sylow r-subgroup with its generator
+witness; and the lattice's zuppos, for every prime at once.  A model
+lives as long as some group made from it (as its own owner, it is freed
+by the cycle collector); each call returns a fresh
+ConcreteGroup sharing the model's elements and facts, so wrapping one
+group's mul reaches neither the model nor any other group.
 
 A generator witness of a p-group P comes from P/Phi(P): by Burnside's
 basis theorem a tuple generates P exactly when its image spans that
@@ -55,11 +62,10 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, filterfalse, islice, product, repeat, takewhile
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
-    Union,
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
 from pihall.arith import factorize, is_prime, pi_part
@@ -72,6 +78,7 @@ from pihall.groups import (
     SIMPLE,
     SYM,
     GroupSpec,
+    InvalidParameter,
     order as group_order,
     validate,
 )
@@ -91,10 +98,6 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-class NonPrimeField(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Budget:
     """Limits on building a group and on one search in it.
@@ -103,8 +106,9 @@ class Budget:
     it extends: one per double coset H*x*H made of pi-elements alone in the
     Hall census, and one per orbit of the seeds outside H under conjugation
     by H in the pi-subgroup lattice, whose seeds are the zuppos, the cyclic
-    pi-subgroups of prime-power order.  A census that runs out
-    reports exhaustive=False; a lattice returns what it found and False.
+    pi-subgroups of prime-power order.  max_subgroups caps the subgroups a
+    search stores.  A search that runs out of either returns what it found
+    and exhaustive=False.
     """
 
     max_group_order: int = 100_000
@@ -119,12 +123,12 @@ DEFAULT_BUDGET = Budget()
 class ConcreteGroup:
     """An explicit finite group with canonical elements (see Element), in ascending order.
 
-    The order, inverse and conjugation tables fill together on first use,
-    through the group's own mul and kernel.  A group from build_group gets
-    them filled, shared with its model (held in _model, so that the model
-    lives as long as the group).  The census's Sylow seeds and the lattice's
-    zuppos are kept the same way: on the model, found through its mul and
-    kernel, or on a group built by hand, through its own.
+    Its facts are made and kept by its owner, _owner: the model a group
+    from build_group was made from (which the group keeps alive), or else
+    the group itself.  The owner makes each fact on first use, through its
+    own mul and kernel: the order, inverse and conjugation tables, the
+    census's Sylow seeds (see _sylow_seed) and the lattice's zuppos (see
+    _zuppos).  A model's tables are filled when it is built.
     """
 
     name: str
@@ -137,17 +141,12 @@ class ConcreteGroup:
     # the batch kernel for this element type, set by the builder; without
     # one, products() calls mul once per element
     mul_all: Optional[Kernel] = field(default=None, repr=False)
-    _orders: Dict[Element, int] = field(default_factory=dict, repr=False)
-    _inverses: Dict[Element, Element] = field(default_factory=dict, repr=False)
-    _conjugations: List[Dict[Element, Element]] = field(default_factory=list, repr=False)
-    # {r: (a Sylow r-subgroup, its generator witness)}, filled by _sylow_seed
-    _seeds: Dict[int, Tuple[FrozenSet[Element], Tuple[Element, ...]]] = field(
-        default_factory=dict, repr=False)
-    # {zuppo: its least generator} and {each generator of a zuppo: the zuppo},
-    # filled by _zuppos
-    _zuppos: Dict[FrozenSet[Element], Element] = field(default_factory=dict, repr=False)
-    _zuppo_of: Dict[Element, FrozenSet[Element]] = field(default_factory=dict, repr=False)
-    _model: Optional[ConcreteGroup] = field(default=None, repr=False)
+    # the group that keeps the facts; None in the constructor means the group itself
+    _owner: Optional[ConcreteGroup] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self._owner is None:
+            self._owner = self
 
     @property
     def order(self) -> int:
@@ -159,8 +158,11 @@ class ConcreteGroup:
             return _mul_each(self.mul, a, block)
         return self.mul_all(a, block)
 
-    def _fill_tables(self) -> None:
-        """Fill the order, inverse and conjugation tables.
+    @cached_property
+    def _tables(
+        self,
+    ) -> Tuple[Dict[Element, int], Dict[Element, Element], List[Dict[Element, Element]]]:
+        """The order, inverse and conjugation tables, read through the owner.
 
         One sweep makes a power walk x, x^2, ..., x^n = 1 per cyclic
         subgroup, each power x*x^i through the kernel: x^i has order
@@ -169,9 +171,9 @@ class ConcreteGroup:
         factor s^-1 applied through the kernel.  Every key and value is one
         of self.elements, not an equal object that a product made.
         """
-        orders, inverses = self._orders, self._inverses
+        orders: Dict[Element, int] = dict.fromkeys(self.elements, 0)
+        inverses: Dict[Element, Element] = {}
         own = {x: x for x in self.elements}
-        orders.update(dict.fromkeys(self.elements, 0))
         for x in self.elements:
             if orders[x]:
                 continue
@@ -185,31 +187,52 @@ class ConcreteGroup:
             for i, y in enumerate(powers, 1):
                 orders[y] = n // math.gcd(i, n)
                 inverses[y] = powers[n - i - 1]  # x^(n-i); the identity for i = n
+        conjugations = []
         for s in self.generators:
             images = self.products(inverses[s], [self.mul(x, s) for x in self.elements])
-            self._conjugations.append(dict(zip(self.elements, map(own.__getitem__, images))))
+            conjugations.append(dict(zip(self.elements, map(own.__getitem__, images))))
+        return orders, inverses, conjugations
 
     def order_table(self) -> Dict[Element, int]:
         """The order of every element."""
-        if not self._orders:
-            self._fill_tables()
-        return self._orders
+        return self._owner._tables[0]
 
     def element_order(self, x: Element) -> int:
         """The order of x, which must equal one of the group's elements."""
-        return self.order_table()[x]
+        return self._owner._tables[0][x]
 
     def inverse(self, x: Element) -> Element:
         """The inverse of x, which must equal one of the group's elements."""
-        if not self._orders:
-            self._fill_tables()
-        return self._inverses[x]
+        return self._owner._tables[1][x]
 
     def conjugation_tables(self) -> List[Dict[Element, Element]]:
         """One table {x: x^s} over all of the group per generator s, in order."""
-        if not self._orders:
-            self._fill_tables()
-        return self._conjugations
+        return self._owner._tables[2]
+
+    @cached_property
+    def _seeds(self) -> Dict[int, Tuple[FrozenSet[Element], Tuple[Element, ...]]]:
+        """{r: (a Sylow r-subgroup, its generator witness)}, filled by _sylow_seed."""
+        return {}
+
+    @cached_property
+    def _zuppos(
+        self,
+    ) -> Tuple[Dict[FrozenSet[Element], Element], Dict[Element, FrozenSet[Element]]]:
+        """The zuppos and the map from their generators, returned by the function _zuppos."""
+        orders = self.order_table()
+        prime_power = {n: len(factorize(n).factors) <= 1 for n in set(orders.values())}
+        zuppos, zuppo_of = {}, {}
+        for x in self.elements:
+            n = orders[x]
+            if x in zuppo_of or not prime_power[n]:
+                continue
+            powers = [x]
+            for y in islice(self.products(x, powers), n - 1):  # x^2, ..., x^n = 1
+                powers.append(y)
+            zuppo = frozenset(powers)
+            zuppos[zuppo] = x
+            zuppo_of.update((y, zuppo) for y in powers if orders[y] == n)
+        return zuppos, zuppo_of
 
 
 @dataclass(frozen=True)
@@ -381,18 +404,20 @@ def _from_model(key: Tuple[str, int], budget: Budget,
                 build: Callable[[], ConcreteGroup]) -> ConcreteGroup:
     """A fresh group sharing the model for key, which build() makes on first use.
 
-    The model's tables are filled through its own mul and kernel before it
-    is kept, so a caller's wrapper on the returned group's mul never sees
-    them.  A model kept under a larger budget is refused under a smaller one.
+    The model's order is checked against its spec, if it has one, and its
+    tables are filled through its own mul and kernel before it is kept, so
+    a caller's wrapper on the returned group's mul never sees them.  A model
+    kept under a larger budget is refused under a smaller one.
     """
     model = _MODELS.get(key)
     if model is None:
         model = build()
+        _check_order(model)
         model.order_table()
         _MODELS[key] = model
     elif model.order > budget.max_group_order:
         raise BudgetExceeded(f"{key[0]}({key[1]}) exceeds the group-order budget")
-    return replace(model, _model=model)
+    return replace(model, _owner=model)
 
 
 def build_group(kind: str, param: int, budget: Budget = DEFAULT_BUDGET) -> ConcreteGroup:
@@ -436,14 +461,12 @@ def _build_model(kind: str, param: int, budget: Budget) -> ConcreteGroup:
         # instead of cosets of order 2 or 3
         elements = _closure(gens[::-1], _perm_mul, identity, budget.max_group_order,
                             _perm_mul_all)
-        g = ConcreteGroup(f"{kind.capitalize()}({n})", kind, elements, _perm_mul,
-                          identity, gens, spec=spec, mul_all=_perm_mul_all)
-        _check_order(g)
-        return g
+        return ConcreteGroup(f"{kind.capitalize()}({n})", kind, elements, _perm_mul,
+                             identity, gens, spec=spec, mul_all=_perm_mul_all)
 
     p = param
     if not is_prime(p):
-        raise NonPrimeField(f"{kind} needs a prime field, got {param}")
+        raise InvalidParameter("prime-field", f"{kind} needs a prime field, got {param}")
     mul0 = _mat_mul_mod(p)
     if kind in ("PSL2", "PGL2"):
         scalars = (
@@ -461,19 +484,14 @@ def _build_model(kind: str, param: int, budget: Budget) -> ConcreteGroup:
     gens = [canon((1, 1, 0, 1)), canon((1, 0, 1, 1))]
     if kind in ("GL2", "PGL2"):
         gens.append(canon((_primitive_root(p), 0, 0, 1)))
-    variant = {"SL2": ISOMETRY, "PSL2": SIMPLE, "GL2": GENERAL, "PGL2": GENERAL}[kind]
-    spec = GroupSpec(LINEAR_UNITARY, n=2, q=p, eta=1, variant=variant)
-    expected = group_order(validate(spec)) if kind != "PGL2" else None
-    if expected is not None and expected > budget.max_group_order:
+    # PGL2(p) has no GroupSpec, so _check_order leaves its order unchecked
+    variant = {"SL2": ISOMETRY, "PSL2": SIMPLE, "GL2": GENERAL}.get(kind)
+    spec = None if variant is None else validate(
+        GroupSpec(LINEAR_UNITARY, n=2, q=p, eta=1, variant=variant))
+    if spec is not None and group_order(spec) > budget.max_group_order:
         raise BudgetExceeded(f"{kind}({p}) exceeds the group-order budget")
     elements = _closure(gens, mul, identity, budget.max_group_order)
-    g = ConcreteGroup(
-        f"{kind}({p})", kind, elements, mul, identity, gens,
-        spec=validate(spec) if kind != "PGL2" else None,
-    )
-    if kind != "PGL2":
-        _check_order(g)
-    return g
+    return ConcreteGroup(f"{kind}({p})", kind, elements, mul, identity, gens, spec=spec)
 
 
 def psl3_3_points() -> ConcreteGroup:
@@ -520,11 +538,9 @@ def _build_psl3_3_points() -> ConcreteGroup:
     gens = [mat_perm((1, 1, 0, 0, 1, 0, 0, 0, 1)), mat_perm((0, 0, 1, 1, 0, 0, 0, 1, 0))]
     identity = bytes(range(len(points)))
     elements = _closure(gens, _perm_mul, identity, 10_000, _perm_mul_all)
-    g = ConcreteGroup("PSL3(3)", "PERM", elements, _perm_mul, identity, gens,
-                      spec=validate(GroupSpec(LINEAR_UNITARY, n=3, q=3, eta=1, variant=SIMPLE)),
-                      mul_all=_perm_mul_all)
-    _check_order(g)
-    return g
+    return ConcreteGroup("PSL3(3)", "PERM", elements, _perm_mul, identity, gens,
+                         spec=validate(GroupSpec(LINEAR_UNITARY, n=3, q=3, eta=1, variant=SIMPLE)),
+                         mul_all=_perm_mul_all)
 
 
 def _check_order(g: ConcreteGroup) -> None:
@@ -601,11 +617,11 @@ def sylow_subgroup(g: ConcreteGroup, r: int) -> FrozenSet[Element]:
 def _sylow_seed(g: ConcreteGroup, r: int) -> Tuple[FrozenSet[Element], Tuple[Element, ...]]:
     """A Sylow r-subgroup of g and its generator witness, found once per model.
 
-    They are kept with the model, or with g itself when g was built by
-    hand, and found through the model's own mul and kernel, as its tables
-    are, so a caller's wrapper on g.mul never sees this work.
+    They are kept by g's owner, the model or else g itself, and found
+    through the owner's own mul and kernel, as its tables are, so a
+    caller's wrapper on g.mul never sees this work.
     """
-    owner = g if g._model is None else g._model
+    owner = g._owner
     seed = owner._seeds.get(r)
     if seed is None:
         sylow = sylow_subgroup(owner, r)
@@ -621,26 +637,11 @@ def _zuppos(
     Returns ({Z: x}, {y: Z}): each zuppo Z, the trivial one included, with
     its least generator x, in the order of g.elements, and each generator y
     of a zuppo with that zuppo.  Each Z is a power walk x, x^2, ... through
-    the kernel.  Like _sylow_seed, they are kept with the model, or with g
-    itself when g was built by hand, and found through the model's own mul
-    and kernel, so a caller's wrapper on g.mul never sees this work.
+    the kernel.  Like _sylow_seed, they are kept by g's owner, the model or
+    else g itself, and found through the owner's own mul and kernel, so a
+    caller's wrapper on g.mul never sees this work.
     """
-    owner = g if g._model is None else g._model
-    zuppos, zuppo_of = owner._zuppos, owner._zuppo_of
-    if not zuppos:
-        orders = owner.order_table()
-        prime_power = {n: len(factorize(n).factors) <= 1 for n in set(orders.values())}
-        for x in owner.elements:
-            n = orders[x]
-            if x in zuppo_of or not prime_power[n]:
-                continue
-            powers = [x]
-            for y in islice(owner.products(x, powers), n - 1):  # x^2, ..., x^n = 1
-                powers.append(y)
-            zuppo = frozenset(powers)
-            zuppos[zuppo] = x
-            zuppo_of.update((y, zuppo) for y in powers if orders[y] == n)
-    return zuppos, zuppo_of
+    return g._owner._zuppos
 
 
 def _generator_witness(
@@ -794,22 +795,65 @@ def _conjugacy_orbit(
 
 
 def conjugacy_classes_of_subgroups(
-    g: ConcreteGroup, witnesses: Mapping[FrozenSet[Element], Tuple[Element, ...]]
+    g: ConcreteGroup, witnesses: Dict[FrozenSet[Element], Tuple[Element, ...]],
+    shrink: Optional[Callable[..., Tuple[Element, ...]]] = None,
 ) -> List[List[SubgroupHandle]]:
     """Partition subgroups into conjugacy classes by generator-orbit closure.
 
     witnesses maps each subgroup to a generating tuple; every conjugate
-    found gets the tuple conjugated along with it.
+    found gets the tuple conjugated along with it.  With shrink, the tuple
+    of the subgroup that starts each class's orbit is replaced by
+    shrink(tuple, subgroup) first, and no other subgroup's tuple is read.
     """
     classes: List[List[SubgroupHandle]] = []
     done: set = set()
     for seed in sorted(witnesses, key=sorted):
         if seed in done:
             continue
-        orbit = _conjugacy_orbit(g, seed, witnesses[seed])
+        witness = witnesses[seed] if shrink is None else shrink(witnesses[seed], seed)
+        orbit = _conjugacy_orbit(g, seed, witness)
         done.update(orbit)
         classes.append([SubgroupHandle(s, orbit[s]) for s in sorted(orbit, key=sorted)])
     return sorted(classes, key=lambda cls: sorted(cls[0].elements))
+
+
+def _join_search(g: ConcreteGroup, found: Dict[FrozenSet[Element], Tuple[Element, ...]],
+                 frontier: List[FrozenSet[Element]], candidates: Callable[..., Iterable[Element]],
+                 record: Callable[..., None], cap: int, admissible: FrozenSet[Element],
+                 budget: Budget) -> bool:
+    """The breadth-first join loop of the census and the lattice; returns exhaustive.
+
+    found maps each subgroup stored so far to its generators.  Each H in
+    frontier is joined with each x that candidates(H, found[H]) yields; a
+    join not in found goes to record(join, found[H] + (x,)), which stores
+    it, and to the next round.  admissible holds the elements whose order
+    divides cap, and a subgroup of order cap joins nothing, since every
+    join from it is larger.  Each join tried is one Budget.max_closure_steps
+    step; the loop returns False as soon as the steps run out or found
+    holds more than Budget.max_subgroups subgroups.
+    """
+    steps = 0
+    while frontier:
+        nxt = []
+        for current in frontier:
+            if len(current) == cap:
+                continue
+            gens = found[current]
+            for x in candidates(current, gens):
+                steps += 1
+                if steps > budget.max_closure_steps:
+                    return False
+                # a join of admissible elements is a pi-subgroup: by Cauchy
+                # and Lagrange its order divides cap
+                join = subgroup_closure(g, [x], cap + 1, current, gens, admissible)
+                if join is None or join in found:
+                    continue
+                record(join, gens + (x,))
+                nxt.append(join)
+                if len(found) > budget.max_subgroups:
+                    return False
+        frontier = nxt
+    return True
 
 
 def find_hall_subgroups(
@@ -838,7 +882,8 @@ def find_hall_subgroups(
     made of pi-elements yields one.  No other candidate's left coset or
     walk touches such a double coset, so its least element x is the first
     of it that the scan reaches, the first candidate of the left-coset
-    search to reach that join.
+    search to reach that join.  The joins run in _join_search, and one
+    witness per class is shrunk, by _minimal_witness.
     """
     pi = tuple(sorted(set(pi)))
     hall_order = pi_part(g.order, pi)
@@ -853,78 +898,37 @@ def find_hall_subgroups(
     pi_elems.remove(g.identity)
     products = g.products
 
-    # all pi-subgroups containing the fixed Sylow subgroup
-    found: Dict[FrozenSet[Element], Tuple[Element, ...]] = {seed: seed_witness}
-    frontier = [seed]
-    steps = 0
-    exhaustive = True
-    while frontier and exhaustive:
-        nxt = []
-        for current in frontier:
-            if len(current) == hall_order or not exhaustive:
+    def candidates(current, gens):
+        seen = set(current)
+        for x in filterfalse(seen.__contains__, pi_elems):
+            # x is the least pi-element of x*current; that left coset
+            # holds an element outside the pi-elements exactly when the
+            # double coset does, and then so does the join
+            coset = list(products(x, current))
+            seen.update(coset)
+            if not admissible.issuperset(coset):
                 continue
-            gens = found[current]
-            seen = set(current)
-            for x in filterfalse(seen.__contains__, pi_elems):
-                # x is the least pi-element of x*current; that left coset
-                # holds an element outside the pi-elements exactly when the
-                # double coset does, and then so does the join
-                coset = list(products(x, current))
-                seen.update(coset)
-                if not admissible.issuperset(coset):
-                    continue
-                # x is the least element of current*x*current: mark the rest
-                # of it seen one left coset y*current at a time, the next
-                # layer of representatives y being every s*y for the
-                # generators s of current
-                reps = [x]
-                while reps:
-                    layer = [z for s in gens for z in products(s, reps)]
-                    reps = []
-                    for y in filterfalse(seen.__contains__, layer):
-                        seen.update(products(y, current))
-                        reps.append(y)
-                steps += 1
-                if steps > budget.max_closure_steps:
-                    exhaustive = False
-                    break
-                # a closure of pi-elements is a pi-subgroup: its order divides hall_order
-                bigger = subgroup_closure(g, [x], hall_order + 1, current, gens, admissible)
-                if bigger is None or bigger in found:
-                    continue
-                found[bigger] = tuple(gens) + (x,)
-                nxt.append(bigger)
-                if len(found) > budget.max_subgroups:
-                    raise BudgetExceeded("stored subgroup budget exceeded")
-        frontier = nxt
+            # x is the least element of current*x*current: mark the rest
+            # of it seen one left coset y*current at a time, the next
+            # layer of representatives y being every s*y for the
+            # generators s of current
+            reps = [x]
+            while reps:
+                layer = [z for s in gens for z in products(s, reps)]
+                reps = []
+                for y in filterfalse(seen.__contains__, layer):
+                    seen.update(products(y, current))
+                    reps.append(y)
+            yield x
 
+    # all pi-subgroups containing the fixed Sylow subgroup
+    found = {seed: seed_witness}
+    exhaustive = _join_search(g, found, [seed], candidates, found.__setitem__, hall_order,
+                              admissible, budget)
     halls = {s: gens for s, gens in found.items() if len(s) == hall_order}
-    classes = conjugacy_classes_of_subgroups(g, _ShrunkWitnesses(g, halls))
+    classes = conjugacy_classes_of_subgroups(g, halls, partial(_minimal_witness, g))
     all_halls = [h for cls in classes for h in cls]
     return CensusReport(g, pi, hall_order, all_halls, classes, exhaustive)
-
-
-class _ShrunkWitnesses(Mapping[FrozenSet[Element], Tuple[Element, ...]]):
-    """{subgroup: its generators shrunk by _minimal_witness}, each shrunk on first read.
-
-    conjugacy_classes_of_subgroups reads only the witness of the subgroup
-    that starts each class's orbit, so no other subgroup's is shrunk.
-    """
-
-    def __init__(self, g: ConcreteGroup, gens: Dict[FrozenSet[Element], Tuple[Element, ...]]):
-        self._g, self._gens = g, gens
-        self._shrunk: Dict[FrozenSet[Element], Tuple[Element, ...]] = {}
-
-    def __getitem__(self, subgroup: FrozenSet[Element]) -> Tuple[Element, ...]:
-        if subgroup not in self._shrunk:
-            self._shrunk[subgroup] = _minimal_witness(self._g, self._gens[subgroup], subgroup)
-        return self._shrunk[subgroup]
-
-    def __iter__(self) -> Iterator[FrozenSet[Element]]:
-        return iter(self._gens)
-
-    def __len__(self) -> int:
-        return len(self._gens)
 
 
 def _minimal_witness(
@@ -968,9 +972,11 @@ def pi_subgroup_lattice(
     are closed under conjugation, <H^c, x> = <H, x^(c^-1)>^c, and
     <H, x^h> = <H, x>^h = <H, x> for h in H, so the lattice is the set that
     joining every seed gives.  The trivial subgroup joins nothing, since
-    its joins are the seeds.  Budget.max_closure_steps counts the joins
-    tried from the other representatives, one per seed orbit.  This is the
-    expensive search; the Hall census above does not depend on it.
+    its joins are the seeds.  The joins run in _join_search, which adds
+    each new join's conjugacy orbit to the lattice; Budget.max_closure_steps
+    counts the joins tried from the other representatives, one per seed
+    orbit.  This is the expensive search; the Hall census above does not
+    depend on it.
     """
     pi = tuple(sorted(set(pi)))
     # every pi-subgroup has order dividing |G|_pi
@@ -988,41 +994,31 @@ def pi_subgroup_lattice(
             if len(sub) > 1:
                 frontier.append(sub)
     mul = g.mul
-    steps = 0
-    while frontier:
-        nxt = []
-        for current in frontier:
-            gens = found[current]
-            conjugators = [(g.inverse(h), h) for h in gens]
-            # one seed per orbit under conjugation by current, which fixes
-            # the join; the orbit is walked through the seeds' generators
-            reached = set()
-            for seed, x in seeds.items():
-                if seed in reached or x in current:
-                    continue
-                reached.add(seed)
-                orbit = [x]
-                for y in orbit:
-                    for hinv, h in conjugators:
-                        z = mul(hinv, mul(y, h))
-                        image = seed_of[z]
-                        if image not in reached:
-                            reached.add(image)
-                            orbit.append(z)
-                steps += 1
-                if steps > budget.max_closure_steps:
-                    return list(found), False
-                # a join of admissible elements is a pi-subgroup: by Cauchy
-                # and Lagrange its order divides cap
-                join = subgroup_closure(g, [x], cap + 1, current, gens, admissible)
-                if join is None or join in found:
-                    continue
-                found.update(_conjugacy_orbit(g, join, gens + (x,)))
-                nxt.append(join)
-                if len(found) > budget.max_subgroups:
-                    return list(found), False
-        frontier = nxt
-    return list(found), True
+
+    def candidates(current, gens):
+        conjugators = [(g.inverse(h), h) for h in gens]
+        # one seed per orbit under conjugation by current, which fixes
+        # the join; the orbit is walked through the seeds' generators
+        reached = set()
+        for seed, x in seeds.items():
+            if seed in reached or x in current:
+                continue
+            reached.add(seed)
+            orbit = [x]
+            for y in orbit:
+                for hinv, h in conjugators:
+                    z = mul(hinv, mul(y, h))
+                    image = seed_of[z]
+                    if image not in reached:
+                        reached.add(image)
+                        orbit.append(z)
+            yield x
+
+    def record(join, gens):
+        found.update(_conjugacy_orbit(g, join, gens))
+
+    exhaustive = _join_search(g, found, frontier, candidates, record, cap, admissible, budget)
+    return list(found), exhaustive
 
 
 @dataclass
@@ -1045,11 +1041,13 @@ def find_dpi_counterexample(
 
     A witness for every class refutes the full Sylow analogue for pi.  For
     a pi-group there are no witnesses (every pi-subgroup sits in the whole
-    group), and the report comes back empty-handed honestly.  Each class
-    of the census is a whole conjugacy orbit, so a subgroup has a conjugate
-    inside the class's Hall subgroup exactly when it lies in one of the
-    class's members.
+    group), and the report comes back empty-handed honestly, with no
+    lattice built.  Each class of the census is a whole conjugacy orbit, so
+    a subgroup has a conjugate inside the class's Hall subgroup exactly when
+    it lies in one of the class's members.
     """
+    if census.hall_order == g.order:
+        return DpiWitnessReport([None] * census.class_count, True)
     pi = tuple(sorted(set(pi)))
     lattice, exhaustive = pi_subgroup_lattice(g, pi, budget)
     lattice = sorted(lattice, key=lambda s: (-len(s), sorted(s)))

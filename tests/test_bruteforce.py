@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import time
 import weakref
 from functools import lru_cache
 from itertools import product
@@ -16,7 +17,6 @@ from pihall.bruteforce import (
     Budget,
     BudgetExceeded,
     ConcreteGroup,
-    NonPrimeField,
     SubgroupHandle,
     _closure,
     _conjugacy_orbit,
@@ -35,7 +35,7 @@ from pihall.bruteforce import (
     verify_report,
 )
 from pihall.classify import classify
-from pihall.groups import parse_group, validate
+from pihall.groups import InvalidParameter, parse_group
 
 
 def test_build_group_orders():
@@ -48,7 +48,7 @@ def test_build_group_orders():
 
 
 def test_build_group_errors():
-    with pytest.raises(NonPrimeField):
+    with pytest.raises(InvalidParameter):
         build_group("SL2", 9)
     with pytest.raises(BudgetExceeded):
         build_group("SYM", 9)
@@ -235,6 +235,19 @@ def test_budget_marks_nonexhaustive():
     g = build_group("SYM", 7)
     census = find_hall_subgroups(g, (2, 3), Budget(max_closure_steps=5))
     assert census.exhaustive is False
+
+
+def test_subgroup_budget_marks_census_nonexhaustive():
+    # the census stops at Budget.max_subgroups as the lattice does, without raising
+    g = build_group("PSL2", 13)
+    full = find_hall_subgroups(g, (2, 3)).to_dict()
+    outcomes = []
+    for n in range(8):
+        census = find_hall_subgroups(g, (2, 3), Budget(max_subgroups=n))
+        assert not census.exhaustive or census.to_dict() == full
+        outcomes.append(census.exhaustive)
+    # PSL2(13) stores 5 subgroups above its Sylow 2-subgroup
+    assert outcomes == [False] * 5 + [True] * 3
 
 
 @pytest.mark.parametrize("kind,p", [("PSL2", 13), ("SYM", 6)])
@@ -433,10 +446,10 @@ def test_memoized_conjugation_matches_products(case):
 
 def test_build_group_shares_one_model():
     g, h = build_group("PSL2", 7), build_group("PSL2", 7)
-    assert g is not h and g._model is h._model is not None
+    assert g is not h and g._owner is h._owner and g._owner is not g
     assert g.elements is h.elements
     assert g.order_table() is h.order_table()
-    assert g._inverses is h._inverses
+    assert g._owner._tables[1] is h._owner._tables[1]  # the inverses
     assert g.conjugation_tables() is h.conjugation_tables()
     assert psl3_3_points().elements is psl3_3_points().elements
 
@@ -445,24 +458,24 @@ def test_wrapping_mul_reaches_neither_the_model_nor_other_groups():
     g, h = build_group("SYM", 5), build_group("SYM", 5)
     mul = g.mul
     g.mul = lambda x, y: mul(x, y)
-    assert h.mul is mul and g._model.mul is mul
+    assert h.mul is mul and g._owner.mul is mul
     assert build_group("SYM", 5).mul is mul
 
 
 @pytest.mark.parametrize("kind,param,limit", [("SYM", 7, 1_000), ("PGL2", 7, 100)])
 def test_kept_model_still_meets_the_order_budget(kind, param, limit):
     g = build_group(kind, param)
-    assert bruteforce._MODELS[kind, param] is g._model
+    assert bruteforce._MODELS[kind, param] is g._owner
     with pytest.raises(BudgetExceeded):
         build_group(kind, param, Budget(max_group_order=limit))
 
 
 def test_model_lives_as_long_as_its_groups():
     g, h = build_group("PGL2", 2), build_group("PGL2", 2)
-    model = weakref.ref(g._model)
+    model = weakref.ref(g._owner)
     del g
     gc.collect()
-    assert model() is h._model
+    assert model() is h._owner
     del h
     gc.collect()
     assert model() is None and ("PGL2", 2) not in bruteforce._MODELS
@@ -575,7 +588,7 @@ def test_second_census_reads_the_seed_from_the_model(monkeypatch):
     for _ in range(2):  # the second time round, on a model built again
         calls.clear()
         g = build_group("PSL2", 23)
-        model = weakref.ref(g._model)
+        model = weakref.ref(g._owner)
         censuses = [find_hall_subgroups(g, (2, 3)), find_hall_subgroups(g, (2, 3)),
                     find_hall_subgroups(build_group("PSL2", 23), (2, 3))]
         assert calls == [2]
@@ -598,7 +611,7 @@ def test_seed_work_is_done_through_the_model(kind, param):
     g = build_group(kind, param)
     count = _count_products(g)
     seed = bruteforce._sylow_seed(g, 2)
-    assert count == [0] and g._model._seeds == {2: seed}
+    assert count == [0] and g._owner._seeds == {2: seed}
     assert seed[0] == sylow_subgroup(build_group(kind, param), 2)
     assert subgroup_closure(g, seed[1], len(seed[0]) + 1) == seed[0]
 
@@ -706,6 +719,19 @@ def test_lattice_budget_never_passes_a_partial_set():
     assert outcomes[-1] is True and outcomes[len(range(0, 400, 5)) - 1] is True
 
 
+@pytest.mark.parametrize("kind,param", [("ALT", 8), ("SYM", 7)])
+def test_dpi_search_answers_a_pi_group_at_once(kind, param):
+    # every pi-subgroup of a pi-group lies in the group, its one Hall
+    # subgroup, so the answer needs no lattice; building one until
+    # Budget.max_subgroups stops it takes seconds for these groups
+    g = build_group(kind, param)
+    census = find_hall_subgroups(g, (2, 3, 5, 7))
+    start = time.process_time()
+    report = find_dpi_counterexample(g, (2, 3, 5, 7), census)
+    assert time.process_time() - start < 1
+    assert report.per_class == [None] and report.lattice_exhaustive is True
+
+
 @pytest.mark.parametrize("kind,param,pi", [
     ("SL2", 5, (2, 3)), ("SL2", 5, (2, 3, 5)), ("SL2", 5, (5,)), ("PSL2", 13, (2, 3)),
     ("SYM", 5, (2, 3)), ("GL2", 5, (2, 3)), ("PGL2", 7, (3, 7)),
@@ -742,12 +768,12 @@ def test_lattice_reads_the_zuppos_from_the_model(kind, param, other_pi):
     results = []
     for _ in range(2):  # the second time round, on a model built again
         g, h = build_group(kind, param), build_group(kind, param)
-        model = weakref.ref(g._model)
-        count, model_count = _count_products(g), _count_products(g._model)
+        model = weakref.ref(g._owner)
+        count, model_count = _count_products(g), _count_products(g._owner)
         zuppos = bruteforce._zuppos(g)
         # the zuppos are found through the model, which keeps them
         assert count == [0] and model_count[0] > 0
-        assert zuppos == (g._model._zuppos, g._model._zuppo_of) and zuppos[0]
+        assert zuppos is g._owner._zuppos and zuppos[0]
         # two lattices on groups of the same model, under other prime sets,
         # make no zuppo work: the model makes no product
         model_count[0] = 0
@@ -762,7 +788,7 @@ def test_lattice_reads_the_zuppos_from_the_model(kind, param, other_pi):
     # a group built by hand keeps its zuppos on itself
     g = _elementary_abelian_16()
     zuppos, _ = bruteforce._zuppos(g)
-    assert g._zuppos is zuppos and len(zuppos) == 1 + 15
+    assert g._zuppos[0] is zuppos and len(zuppos) == 1 + 15
 
 
 @pytest.mark.parametrize("kind,param,pi", [

@@ -230,6 +230,7 @@ def test_verify_partial_census_exits_budget(capsys):
     assert code == EXIT_BUDGET
     assert out == ""
     assert len(err.splitlines()) == 1 and "budget exhausted" in err
+    assert "census stopped at its budget" in err
     assert "PASS" not in err and "FAIL" not in err
     code, out, err = run_cli(["verify", "--instance", "Sym(6):2,3", "--budget", "1"], capsys)
     assert code == EXIT_BUDGET and out == "" and "Sym(6):2,3" in err
